@@ -647,6 +647,16 @@ mod tests {
         dir
     }
 
+    /// Failpoints are process-global: with `fault-injection` on, a test
+    /// that commits must not overlap one that has a `wal.*` site armed.
+    fn serial() -> Option<std::sync::MutexGuard<'static, ()>> {
+        #[cfg(feature = "fault-injection")]
+        let guard = Some(ssa_relation::fault::lock());
+        #[cfg(not(feature = "fault-injection"))]
+        let guard = None;
+        guard
+    }
+
     fn select_op(min_price: i64) -> SheetOp {
         SheetOp::Select {
             predicate: Expr::col("Price").gt(Expr::lit(min_price)),
@@ -670,6 +680,7 @@ mod tests {
 
     #[test]
     fn commit_persists_and_reopen_recovers() {
+        let _serial = serial();
         let dir = tmp_dir("roundtrip");
         let path = dir.join("cars.ssab");
         let fp = {
@@ -692,6 +703,7 @@ mod tests {
 
     #[test]
     fn torn_final_frame_is_trimmed_and_earlier_ops_survive() {
+        let _serial = serial();
         let dir = tmp_dir("torn-tail");
         let path = dir.join("cars.ssab");
         let fp_one = {
@@ -717,6 +729,7 @@ mod tests {
 
     #[test]
     fn mid_log_corruption_is_a_typed_error() {
+        let _serial = serial();
         let dir = tmp_dir("mid-log");
         let path = dir.join("cars.ssab");
         {
@@ -756,6 +769,7 @@ mod tests {
 
     #[test]
     fn compaction_rewrites_snapshot_and_empties_log() {
+        let _serial = serial();
         let dir = tmp_dir("compact");
         let path = dir.join("cars.ssab");
         let fp = {
@@ -780,6 +794,7 @@ mod tests {
 
     #[test]
     fn absorb_persists_merged_events() {
+        let _serial = serial();
         let dir = tmp_dir("absorb");
         let path_a = dir.join("a.ssab");
         let mut a = DurableSheet::create(&path_a, 1, used_cars(), FsyncPolicy::Always).expect("a");

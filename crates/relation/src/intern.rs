@@ -19,13 +19,16 @@
 //!   never waits on a rebuild.
 //!
 //! Storage is append-only: interned strings are leaked into the heap
-//! (`Box::leak`) so resolution hands out `&'static str` without holding
-//! any lock across the caller's use. Memory is bounded by the number of
-//! *distinct* strings, which is the same bound an `Arc<str>`-page design
-//! would give a process-lifetime interner — with none of the refcount
-//! traffic. Persistence must always write the resolved text, never the
-//! id: ids are assigned in first-seen order and are meaningless across
-//! processes (see `spreadsheet-algebra`'s `persist` module).
+//! (`Box::leak`) so resolution hands out `&'static str`. Resolution takes
+//! no lock at all: each leaked string sits in one slot of a fixed array
+//! of power-of-two buckets (`BUCKETS`), written once under the
+//! interner's write lock before its id is returned, so any thread holding
+//! a `Sym` finds its slot already filled. Memory is bounded by the number
+//! of *distinct* strings, which is the same bound an `Arc<str>`-page
+//! design would give a process-lifetime interner — with none of the
+//! refcount traffic. Persistence must always write the resolved text,
+//! never the id: ids are assigned in first-seen order and are meaningless
+//! across processes (see `spreadsheet-algebra`'s `persist` module).
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -38,11 +41,17 @@ use std::sync::{Arc, OnceLock, RwLock};
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Sym(u32);
 
-struct Interner {
-    /// id → string, append-only.
-    strings: Vec<&'static str>,
-    /// string → id, for dedup on intern.
-    map: HashMap<&'static str, u32>,
+/// id → string, lock-free to read. Bucket `b` holds the `2^b` ids
+/// `2^b - 1 ..= 2^(b+1) - 2`, so 32 buckets cover every id below
+/// `u32::MAX`; a bucket is allocated when its first id is interned.
+type Bucket = Box<[OnceLock<&'static str>]>;
+static BUCKETS: [OnceLock<Bucket>; 32] = [const { OnceLock::new() }; 32];
+
+/// The (bucket, offset) slot of an id.
+fn slot(id: u32) -> (usize, usize) {
+    let n = u64::from(id) + 1;
+    let bucket = n.ilog2() as usize;
+    (bucket, (n - (1 << bucket)) as usize)
 }
 
 /// Lexicographic ranks, a snapshot: `ranks[id]` is the rank of `id` among
@@ -51,14 +60,11 @@ struct Interner {
 /// compare — even if the interner has grown since the snapshot.
 type RankSnapshot = Arc<Vec<u32>>;
 
-fn interner() -> &'static RwLock<Interner> {
-    static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        RwLock::new(Interner {
-            strings: Vec::new(),
-            map: HashMap::new(),
-        })
-    })
+/// string → id, for dedup on intern. Its length is the number of ids
+/// handed out; only inserts take the write lock.
+fn interner() -> &'static RwLock<HashMap<&'static str, u32>> {
+    static INTERNER: OnceLock<RwLock<HashMap<&'static str, u32>>> = OnceLock::new();
+    INTERNER.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
 fn rank_cache() -> &'static RwLock<RankSnapshot> {
@@ -72,44 +78,58 @@ impl Sym {
     /// the lifetime of the process.
     pub fn intern(s: &str) -> Sym {
         {
-            let inner = interner().read().expect("interner lock poisoned");
-            if let Some(&id) = inner.map.get(s) {
+            let map = interner().read().expect("interner lock poisoned");
+            if let Some(&id) = map.get(s) {
                 return Sym(id);
             }
         }
-        let mut inner = interner().write().expect("interner lock poisoned");
-        if let Some(&id) = inner.map.get(s) {
+        let mut map = interner().write().expect("interner lock poisoned");
+        if let Some(&id) = map.get(s) {
             return Sym(id);
         }
-        Sym::insert_locked(&mut inner, Box::leak(s.to_owned().into_boxed_str()))
+        Sym::insert_locked(&mut map, Box::leak(s.to_owned().into_boxed_str()))
     }
 
     /// Intern an owned string; new strings keep their buffer (no copy).
     pub fn from_string(s: String) -> Sym {
         {
-            let inner = interner().read().expect("interner lock poisoned");
-            if let Some(&id) = inner.map.get(s.as_str()) {
+            let map = interner().read().expect("interner lock poisoned");
+            if let Some(&id) = map.get(s.as_str()) {
                 return Sym(id);
             }
         }
-        let mut inner = interner().write().expect("interner lock poisoned");
-        if let Some(&id) = inner.map.get(s.as_str()) {
+        let mut map = interner().write().expect("interner lock poisoned");
+        if let Some(&id) = map.get(s.as_str()) {
             return Sym(id);
         }
-        Sym::insert_locked(&mut inner, Box::leak(s.into_boxed_str()))
+        Sym::insert_locked(&mut map, Box::leak(s.into_boxed_str()))
     }
 
-    fn insert_locked(inner: &mut Interner, leaked: &'static str) -> Sym {
-        let id = u32::try_from(inner.strings.len()).expect("interner overflow: > 2^32 strings");
-        inner.strings.push(leaked);
-        inner.map.insert(leaked, id);
+    /// Assign the next id to `leaked`: fill its bucket slot, then publish
+    /// it in the map. Runs under the write lock, so ids are dense and
+    /// each slot is written exactly once.
+    fn insert_locked(map: &mut HashMap<&'static str, u32>, leaked: &'static str) -> Sym {
+        let id = u32::try_from(map.len())
+            .ok()
+            .filter(|&id| id < u32::MAX)
+            .expect("interner overflow: > 2^32 - 1 strings");
+        let (bucket, offset) = slot(id);
+        let filled = BUCKETS[bucket]
+            .get_or_init(|| (0..1usize << bucket).map(|_| OnceLock::new()).collect())[offset]
+            .set(leaked);
+        assert!(filled.is_ok(), "interner slot {id} written twice");
+        map.insert(leaked, id);
         Sym(id)
     }
 
     /// The interned text. `'static` because storage is append-only and
-    /// process-lived; no lock is held after return.
+    /// process-lived; lock-free (two acquire loads).
     pub fn as_str(self) -> &'static str {
-        interner().read().expect("interner lock poisoned").strings[self.0 as usize]
+        let (bucket, offset) = slot(self.0);
+        BUCKETS[bucket]
+            .get()
+            .and_then(|b| b[offset].get())
+            .expect("a Sym's slot is filled before the Sym exists")
     }
 
     /// The raw id — exposed for columnar sort keys; never persist it.
@@ -119,11 +139,7 @@ impl Sym {
 
     /// Number of distinct strings interned so far (diagnostics/tests).
     pub fn interned_count() -> usize {
-        interner()
-            .read()
-            .expect("interner lock poisoned")
-            .strings
-            .len()
+        interner().read().expect("interner lock poisoned").len()
     }
 }
 
@@ -137,21 +153,22 @@ impl Sym {
 pub fn rank_snapshot() -> RankSnapshot {
     {
         let cached = rank_cache().read().expect("rank cache poisoned");
-        let inner = interner().read().expect("interner lock poisoned");
-        if cached.len() == inner.strings.len() {
+        if cached.len() == Sym::interned_count() {
             return Arc::clone(&cached);
         }
     }
     let mut cached = rank_cache().write().expect("rank cache poisoned");
-    let inner = interner().read().expect("interner lock poisoned");
-    if cached.len() == inner.strings.len() {
+    // Ids below the count read here are all resolvable; later inserts
+    // only make the snapshot stale, which the next call detects.
+    let n = Sym::interned_count();
+    if cached.len() == n {
         return Arc::clone(&cached);
     }
-    let mut by_text: Vec<u32> = (0..inner.strings.len() as u32).collect();
-    by_text.sort_unstable_by_key(|&id| inner.strings[id as usize]);
-    let mut ranks = vec![0u32; inner.strings.len()];
-    for (rank, &id) in by_text.iter().enumerate() {
-        ranks[id as usize] = rank as u32;
+    let mut by_text: Vec<Sym> = (0..n as u32).map(Sym).collect();
+    by_text.sort_unstable_by_key(|s| s.as_str());
+    let mut ranks = vec![0u32; n];
+    for (rank, s) in by_text.iter().enumerate() {
+        ranks[s.0 as usize] = rank as u32;
     }
     *cached = Arc::new(ranks);
     Arc::clone(&cached)
@@ -286,6 +303,60 @@ mod tests {
         // Comparisons against a fresh id are still correct pre-rebuild.
         let apple = Sym::intern("apple");
         assert_eq!(fresh.cmp(&apple), fresh.as_str().cmp(apple.as_str()));
+    }
+
+    #[test]
+    fn slots_tile_the_id_space() {
+        assert_eq!(slot(0), (0, 0));
+        assert_eq!(slot(1), (1, 0));
+        assert_eq!(slot(2), (1, 1));
+        assert_eq!(slot(3), (2, 0));
+        assert_eq!(slot(6), (2, 3));
+        assert_eq!(slot(7), (3, 0));
+        assert_eq!(slot(u32::MAX - 1), (31, (1 << 31) - 1));
+    }
+
+    #[test]
+    fn resolution_races_with_interning_across_a_bucket_boundary() {
+        // The interner thread hands each fresh sym over a rendezvous
+        // channel, so the resolver reads it the moment `intern` returns —
+        // while later ids (and new buckets) are still being written.
+        let (tx, rx) = std::sync::mpsc::sync_channel::<(Sym, String)>(0);
+        let syms = std::thread::scope(|s| {
+            s.spawn(move || {
+                let mut first_bucket = None;
+                for i in 0.. {
+                    let text = format!("intern-test-race-{i}");
+                    let sym = Sym::from_string(text.clone());
+                    let bucket = slot(sym.id()).0;
+                    tx.send((sym, text)).expect("resolver alive");
+                    if *first_bucket.get_or_insert(bucket) < bucket && i >= 64 {
+                        return;
+                    }
+                }
+            });
+            let resolver = s.spawn(move || {
+                rx.into_iter()
+                    .map(|(sym, text)| {
+                        assert_eq!(sym.as_str(), text, "sym #{} resolved early", sym.id());
+                        sym
+                    })
+                    .collect::<Vec<Sym>>()
+            });
+            resolver.join().expect("resolver thread panicked")
+        });
+        let buckets: Vec<usize> = syms.iter().map(|s| slot(s.id()).0).collect();
+        assert!(buckets.windows(2).any(|w| w[0] < w[1]), "no bucket crossed");
+
+        let max_id = syms.iter().map(|s| s.id()).max().expect("syms interned");
+        assert!(Sym::interned_count() > max_id as usize);
+        let snap = rank_snapshot();
+        assert!(snap.len() > max_id as usize);
+        let mut by_rank = syms.clone();
+        by_rank.sort_by_key(|s| snap[s.id() as usize]);
+        for w in by_rank.windows(2) {
+            assert!(w[0].as_str() < w[1].as_str(), "{:?} vs {:?}", w[0], w[1]);
+        }
     }
 
     #[test]

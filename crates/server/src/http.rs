@@ -1,8 +1,8 @@
 //! Hand-rolled HTTP/1.1 over `std::net` (the workspace is offline — no
 //! hyper, no tokio). Just enough of RFC 7230 for the wire protocol in
 //! DESIGN.md §15: request line, headers, `Content-Length` bodies,
-//! keep-alive, and a bounded thread-per-connection pool fed by an
-//! accept loop.
+//! `Expect: 100-continue`, keep-alive, and a bounded
+//! thread-per-connection pool fed by an accept loop.
 //!
 //! The accept loop carries the `server.accept` failpoint: an injected
 //! accept failure drops that one connection attempt and keeps serving —
@@ -153,57 +153,106 @@ fn parse_query(raw: &str) -> HashMap<String, String> {
         .collect()
 }
 
-/// Read one request off the connection. `Ok(None)` means the client
-/// closed the connection cleanly between requests (keep-alive end).
-fn read_request(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option<Request>> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+/// Whether a read error is the connection's read timeout firing.
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+fn bad_request(msg: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+}
+
+/// Read one line, keeping what was read across read timeouts. Only a
+/// timeout before the first byte of a request (`started == false`, `buf`
+/// still empty) is an idle keep-alive gap and reaches the caller; once a
+/// request has begun, a timeout just means the client is slow, so the
+/// read resumes unless the server is stopping. Returns the line without
+/// its line ending, or `None` at end of stream.
+fn read_line(
+    reader: &mut BufReader<TcpStream>,
+    started: bool,
+    stop: &AtomicBool,
+) -> std::io::Result<Option<String>> {
+    let mut buf = Vec::new();
+    loop {
+        match reader.read_until(b'\n', &mut buf) {
+            Ok(_) => break,
+            Err(e)
+                if is_timeout(&e)
+                    && (started || !buf.is_empty())
+                    && !stop.load(Ordering::SeqCst) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    if buf.is_empty() {
         return Ok(None);
     }
-    let line = line.trim_end();
+    let line = String::from_utf8(buf).map_err(|_| bad_request("request is not UTF-8".into()))?;
+    Ok(Some(line.trim_end().to_string()))
+}
+
+/// Read one request off the connection. `Ok(None)` means the client
+/// closed the connection cleanly between requests (keep-alive end); a
+/// timeout error means no request has started yet. A client that sent
+/// `Expect: 100-continue` is told to go ahead (on `writer`) before the
+/// body is read.
+fn read_request(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut impl Write,
+    stop: &AtomicBool,
+) -> std::io::Result<Option<Request>> {
+    let Some(line) = read_line(reader, false, stop)? else {
+        return Ok(None);
+    };
     let mut parts = line.split_whitespace();
     let (method, target) = match (parts.next(), parts.next()) {
         (Some(m), Some(t)) => (m.to_string(), t.to_string()),
-        _ => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("malformed request line: {line:?}"),
-            ))
-        }
+        _ => return Err(bad_request(format!("malformed request line: {line:?}"))),
     };
     let mut content_length = 0usize;
     let mut keep_alive = true; // HTTP/1.1 default
+    let mut expect_continue = false;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        let Some(header) = read_line(reader, true, stop)? else {
             return Ok(None);
-        }
-        let header = header.trim_end();
+        };
         if header.is_empty() {
             break;
         }
         if let Some((name, value)) = header.split_once(':') {
             let value = value.trim();
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().map_err(|_| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("bad Content-Length: {value:?}"),
-                    )
-                })?;
+                content_length = value
+                    .parse()
+                    .map_err(|_| bad_request(format!("bad Content-Length: {value:?}")))?;
             } else if name.eq_ignore_ascii_case("connection") {
                 keep_alive = !value.eq_ignore_ascii_case("close");
+            } else if name.eq_ignore_ascii_case("expect") {
+                expect_continue = value.eq_ignore_ascii_case("100-continue");
             }
         }
     }
     if content_length > MAX_BODY {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "request body too large",
-        ));
+        return Err(bad_request("request body too large".into()));
+    }
+    if expect_continue && content_length > 0 {
+        writer.write_all(b"HTTP/1.1 100 Continue\r\n\r\n")?;
+        writer.flush()?;
     }
     let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    let mut filled = 0;
+    while filled < body.len() {
+        match reader.read(&mut body[filled..]) {
+            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if is_timeout(&e) && !stop.load(Ordering::SeqCst) => {}
+            Err(e) => return Err(e),
+        }
+    }
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p.to_string(), parse_query(q)),
         None => (target, HashMap::new()),
@@ -220,7 +269,8 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option<Req
 /// Serve one connection until the client closes it, asks to, or the
 /// server is stopping. A short read timeout keeps idle keep-alive
 /// connections from wedging shutdown: between requests the worker wakes
-/// every 200 ms to check the stop flag.
+/// every 200 ms to check the stop flag. Inside a request the same
+/// timeout only polls the flag; the partial request is kept.
 fn serve_connection(stream: TcpStream, state: &ServerState, stop: &AtomicBool) {
     let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
     let Ok(writer) = stream.try_clone() else {
@@ -229,7 +279,7 @@ fn serve_connection(stream: TcpStream, state: &ServerState, stop: &AtomicBool) {
     let mut writer = std::io::BufWriter::new(writer);
     let mut reader = BufReader::new(stream);
     loop {
-        match read_request(&mut reader) {
+        match read_request(&mut reader, &mut writer, stop) {
             Ok(Some(req)) => {
                 let keep = req.keep_alive;
                 let resp = api::route(state, &req);
@@ -243,14 +293,9 @@ fn serve_connection(stream: TcpStream, state: &ServerState, stop: &AtomicBool) {
                 }
             }
             Ok(None) => return,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Idle between keep-alive requests: wait more unless the
-                // server is shutting down.
+            Err(e) if is_timeout(&e) => {
+                // Idle between keep-alive requests (or stopping mid-
+                // request): wait more unless the server is shutting down.
                 if stop.load(Ordering::SeqCst) {
                     return;
                 }

@@ -269,3 +269,81 @@ fn concurrent_sessions_see_consistent_views() {
     assert!(body.contains("\"version\": 10"), "final version: {body}");
     handle.shutdown();
 }
+
+/// A CSV upload whose headers and body travel separately, the way curl
+/// sends a large PUT: the body follows only once the server has said
+/// `100 Continue`.
+#[test]
+fn expect_continue_upload_waits_for_interim_response() {
+    let (_state, handle) = boot();
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    // A server that never answers fails the test instead of hanging it.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("set client read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    write!(
+        writer,
+        "PUT /sheets/cars HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\
+         Expect: 100-continue\r\nConnection: close\r\n\r\n",
+        CARS_CSV.len()
+    )
+    .expect("write headers");
+
+    let mut interim = String::new();
+    reader.read_line(&mut interim).expect("read interim status");
+    assert_eq!(interim, "HTTP/1.1 100 Continue\r\n");
+    let mut blank = String::new();
+    reader.read_line(&mut blank).expect("read interim end");
+    assert_eq!(blank, "\r\n");
+
+    writer.write_all(CARS_CSV.as_bytes()).expect("write body");
+    let (status, body) = read_response(&mut reader);
+    assert_eq!(status, 201, "upload: {body}");
+    assert!(body.contains("\"rows\": 4"), "upload body: {body}");
+    handle.shutdown();
+}
+
+/// A client that pauses longer than the server's 200 ms read timeout
+/// inside a request — mid-headers and between headers and body — is
+/// slow, not idle: the request must still be read whole.
+#[test]
+fn request_paused_past_read_timeout_is_not_split() {
+    let (_state, handle) = boot();
+    let addr = handle.addr();
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("set client read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let pause = std::time::Duration::from_millis(450);
+
+    writer
+        .write_all(b"PUT /sheets/cars HTTP/1.1\r\nHost: te")
+        .expect("write request line");
+    std::thread::sleep(pause);
+    write!(
+        writer,
+        "st\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
+        CARS_CSV.len()
+    )
+    .expect("write headers");
+    std::thread::sleep(pause);
+    let (head, tail) = CARS_CSV.split_at(10);
+    writer.write_all(head.as_bytes()).expect("write body head");
+    std::thread::sleep(pause);
+    writer.write_all(tail.as_bytes()).expect("write body tail");
+
+    let (status, body) = read_response(&mut reader);
+    assert_eq!(status, 201, "slow upload: {body}");
+    assert!(body.contains("\"rows\": 4"), "slow upload body: {body}");
+
+    // The connection stays in step: the next request is read as one.
+    send_request(&mut writer, "GET", "/sheets/cars", "", true);
+    let (status, body) = read_response(&mut reader);
+    assert_eq!(status, 200, "follow-up: {body}");
+    assert!(body.contains("\"rows\": 4"), "follow-up body: {body}");
+    handle.shutdown();
+}
