@@ -48,6 +48,7 @@ use crate::tree::{build_tree, GroupTree};
 use ssa_relation::compiled::{CompiledExpr, RowAccess};
 use ssa_relation::ops;
 use ssa_relation::relation::Relation;
+use ssa_relation::rows::Rows;
 use ssa_relation::schema::{Column, Schema};
 use ssa_relation::tuple::Tuple;
 use ssa_relation::value::{Value, ValueType};
@@ -226,7 +227,7 @@ use crate::plan::Plan;
 /// Read the value of `slot` for base row `row`: base columns come from
 /// the immutable base tuple, computed columns from their buffers.
 fn slot_value<'a>(
-    base_rows: &'a [Tuple],
+    base_rows: &'a Rows,
     bufs: &'a [Option<Vec<Value>>],
     width: usize,
     row: u32,
@@ -235,21 +236,28 @@ fn slot_value<'a>(
     if slot < width {
         base_rows[row as usize].get(slot)
     } else {
-        // invariant: rank order materializes dependencies first, so a
-        // computed slot is only read after its buffer is filled (the plan
-        // orders ranks and `needed` closes over dependencies). Read per
-        // value on the hottest path — kept as an expect, not a Result.
-        let buf = bufs[slot - width]
-            .as_ref()
-            .expect("rank order materializes dependencies first");
-        &buf[row as usize]
+        computed_value(bufs, width, row, slot)
     }
 }
 
-/// One live row of the index-vector engine, viewed through slots.
+/// The value of computed `slot` (`slot >= width`) for base row `row`.
+#[inline]
+fn computed_value(bufs: &[Option<Vec<Value>>], width: usize, row: u32, slot: usize) -> &Value {
+    // invariant: rank order materializes dependencies first, so a
+    // computed slot is only read after its buffer is filled (the plan
+    // orders ranks and `needed` closes over dependencies). Read per
+    // value on the hottest path — kept as an expect, not a Result.
+    let buf = bufs[slot - width]
+        .as_ref()
+        .expect("rank order materializes dependencies first");
+    &buf[row as usize]
+}
+
+/// One live row of the index-vector engine, viewed through slots: the
+/// base tuple is resolved once per row, computed slots read their buffers.
 #[derive(Clone, Copy)]
 struct EngineRow<'a> {
-    base_rows: &'a [Tuple],
+    base: &'a Tuple,
     bufs: &'a [Option<Vec<Value>>],
     width: usize,
     row: u32,
@@ -257,7 +265,11 @@ struct EngineRow<'a> {
 
 impl RowAccess for EngineRow<'_> {
     fn slot(&self, idx: usize) -> &Value {
-        slot_value(self.base_rows, self.bufs, self.width, self.row, idx)
+        if idx < self.width {
+            self.base.get(idx)
+        } else {
+            computed_value(self.bufs, self.width, self.row, idx)
+        }
     }
 }
 
@@ -692,7 +704,7 @@ fn materialize_buffer(
                     .iter()
                     .map(|&row| {
                         compiled.eval_owned(&EngineRow {
-                            base_rows,
+                            base: &base_rows[row as usize],
                             bufs,
                             width,
                             row,
@@ -805,7 +817,7 @@ fn filter_rows(
         let mut keep = Vec::with_capacity(chunk.len());
         'rows: for &row in chunk {
             let engine_row = EngineRow {
-                base_rows,
+                base: &base_rows[row as usize],
                 bufs,
                 width,
                 row,
@@ -858,12 +870,20 @@ pub(crate) fn filter_relation(
                 return Ok(Vec::new());
             }
             let rows = rel.rows();
-            let pass = |i: usize| {
-                let t = &rows[i];
+            let pass = |t: &Tuple| {
                 resolved.iter().all(|(idx, test, lit)| {
                     let v = t.get(*idx);
                     !v.is_null() && test(v.cmp(lit))
                 })
+            };
+            let keep = |start: usize, end: usize| -> Vec<u32> {
+                rows.iter()
+                    .enumerate()
+                    .skip(start)
+                    .take(end - start)
+                    .filter(|(_, t)| pass(t))
+                    .map(|(i, _)| i as u32)
+                    .collect()
             };
             let workers = if rows.len() >= threshold {
                 std::thread::available_parallelism()
@@ -875,28 +895,20 @@ pub(crate) fn filter_relation(
             };
             if workers > 1 {
                 let chunk = rows.len().div_ceil(workers);
-                let pass = &pass;
+                let keep = &keep;
                 let parts: Vec<Vec<u32>> = std::thread::scope(|s| {
                     let handles: Vec<_> = (0..workers)
                         .map(|w| {
                             let start = w * chunk;
                             let end = ((w + 1) * chunk).min(rows.len());
-                            s.spawn(move || {
-                                (start..end)
-                                    .filter(|&i| pass(i))
-                                    .map(|i| i as u32)
-                                    .collect()
-                            })
+                            s.spawn(move || keep(start, end))
                         })
                         .collect();
                     ssa_relation::par::join_all(handles)
                 })?;
                 return Ok(parts.concat());
             }
-            return Ok((0..rows.len())
-                .filter(|&i| pass(i))
-                .map(|i| i as u32)
-                .collect());
+            return Ok(keep(0, rows.len()));
         }
         // Unresolvable column: let the compiled path produce its error.
     }

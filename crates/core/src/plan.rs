@@ -1015,11 +1015,12 @@ impl<'a> TablePlan<'a> {
     /// the FROM-order fold left its column names unchanged.
     fn source(&self, j: usize) -> ssa_relation::Result<Cow<'a, Relation>> {
         Ok(match &self.renamed[j] {
-            Some(s) => Cow::Owned(Relation::with_rows(
-                self.inputs[j].name(),
-                s.clone(),
-                self.inputs[j].rows().to_vec(),
-            )?),
+            Some(s) => {
+                // Same rows under renamed columns: the clone shares them.
+                let mut renamed = self.inputs[j].clone();
+                *renamed.schema_mut() = s.clone();
+                Cow::Owned(renamed)
+            }
             None => Cow::Borrowed(self.inputs[j]),
         })
     }

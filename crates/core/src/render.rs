@@ -93,13 +93,14 @@ pub fn render_table(view: &Derived) -> String {
             out.push_str(&rule);
         }
         for r in block {
+            let row = &rows[r];
             let first = r * ncols;
             let mut start = first.checked_sub(1).map_or(0, |p| ends[p]);
             let cells = ends[first..first + ncols].iter().zip(&widths).zip(&idx);
             for ((&end, &w), &i) in cells {
                 push_cell(
                     &mut out,
-                    cell_text(rows[r].get(i), &text[start..end]),
+                    cell_text(row.get(i), &text[start..end]),
                     w,
                     &spaces,
                 );

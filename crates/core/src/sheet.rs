@@ -19,7 +19,7 @@ use crate::eval::{
 use crate::spec::{Direction, GroupLevel, OrderKey, Spec};
 use crate::state::{volatile_columns, QueryState};
 use crate::tree::build_tree;
-use ssa_relation::schema::Column;
+use ssa_relation::schema::{Column, Schema};
 use ssa_relation::{ops, AggFunc, Expr, Relation, RelationError, Tuple, Value, ValueType};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -330,6 +330,90 @@ fn recompute_group(
     Ok(())
 }
 
+/// Run base rows `ids` through the query state for the base-append
+/// patch, the way the full pipeline runs them: rank by rank over one
+/// relation with the canonical schema, where formulas of rank r are
+/// computed only for the rows that survived every selection of rank < r
+/// (a row the first selection kills never evaluates later formulas, so
+/// e.g. a division by zero there must not fail the append). Returns the
+/// surviving `(base id, canonical row)` pairs in base order.
+fn stage_base_rows(
+    canonical: &Schema,
+    base: &Relation,
+    mut ids: Vec<u32>,
+    state: &QueryState,
+) -> Result<Vec<(u32, Tuple)>> {
+    let base_columns: BTreeSet<String> = base
+        .schema()
+        .columns()
+        .iter()
+        .map(|c| c.name.clone())
+        .collect();
+    let ranks =
+        compute_ranks(&base_columns, &state.computed).ok_or_else(|| SheetError::Internal {
+            detail: "cached state has unresolved computed dependencies".to_string(),
+        })?;
+    let sel_rank = |pred: &Expr| -> usize {
+        pred.columns()
+            .iter()
+            .filter_map(|c| {
+                state
+                    .computed
+                    .iter()
+                    .position(|col| &col.name == c)
+                    .map(|i| ranks[i])
+            })
+            .max()
+            .unwrap_or(0)
+    };
+    let rows = ids
+        .iter()
+        .map(|&i| {
+            let mut vals = base.rows()[i as usize].values().to_vec();
+            vals.resize(canonical.len(), Value::Null);
+            Tuple::new(vals)
+        })
+        .collect();
+    let mut staged = Relation::with_rows("patch-rows", canonical.clone(), rows)?;
+    let max_rank = ranks.iter().copied().max().unwrap_or(0);
+    for rank in 0..=max_rank {
+        if rank > 0 {
+            for (col, _) in state
+                .computed
+                .iter()
+                .zip(&ranks)
+                .filter(|(_, &r)| r == rank)
+            {
+                // Aggregates are group-level; their value for a new row
+                // is patched after insertion. Selections never read them
+                // on this path (gated by `base_patch_block`), so the
+                // staged Null stands.
+                if let ComputedDef::Formula { .. } = col.def {
+                    let idx = canonical.index_of(&col.name)?;
+                    let (values, _) = compute_column_values(&staged, col, usize::MAX)?;
+                    for (row, v) in staged.rows_mut().iter_mut().zip(values) {
+                        row.set(idx, v);
+                    }
+                }
+            }
+        }
+        let preds: Vec<Expr> = state
+            .selections
+            .iter()
+            .filter(|s| sel_rank(&s.predicate) == rank)
+            .map(|s| s.predicate.clone())
+            .collect();
+        if let Some(pred) = Expr::conjoin(preds) {
+            let keep = filter_relation(&staged, &pred, usize::MAX)?;
+            if keep.len() < staged.len() {
+                ids = keep.iter().map(|&k| ids[k as usize]).collect();
+                staged = staged.take_rows(&keep);
+            }
+        }
+    }
+    Ok(ids.into_iter().zip(staged.rows().iter().cloned()).collect())
+}
+
 /// Retype column `idx` on both schemas by unifying its surviving values —
 /// what `result_schema` does in a fresh evaluation. Needed whenever a
 /// patch *replaces* values (retraction, group-value change): unlike an
@@ -516,8 +600,8 @@ impl CacheEntry {
                 }
             }
             None => {
-                for (r, &g) in gc.gid.iter().enumerate() {
-                    inputs[g as usize].push(rows[r].get(col_idx));
+                for (&g, t) in gc.gid.iter().zip(rows) {
+                    inputs[g as usize].push(t.get(col_idx));
                 }
             }
         }
@@ -570,13 +654,13 @@ impl CacheEntry {
                     })
                     .collect()
             } else {
-                let mut order: Vec<u32> = (0..rows.len() as u32).collect();
-                order.sort_by(|&a, &b| rows[a as usize].get(idx).cmp(rows[b as usize].get(idx)));
-                let mut ranks = vec![0u32; rows.len()];
+                let vals: Vec<&Value> = rows.iter().map(|t| t.get(idx)).collect();
+                let mut order: Vec<u32> = (0..vals.len() as u32).collect();
+                order.sort_by(|&a, &b| vals[a as usize].cmp(vals[b as usize]));
+                let mut ranks = vec![0u32; vals.len()];
                 let mut rank = 0u32;
                 for (i, &row) in order.iter().enumerate() {
-                    if i > 0 && rows[row as usize].get(idx) != rows[order[i - 1] as usize].get(idx)
-                    {
+                    if i > 0 && vals[row as usize] != vals[order[i - 1] as usize] {
                         rank += 1;
                     }
                     ranks[row as usize] = rank;
@@ -922,11 +1006,10 @@ impl CacheEntry {
         Ok(())
     }
 
-    /// Run `base` row `base_idx` through the cached query state and, if
-    /// it survives every selection, splice it into the canonical
-    /// relation, the presentation permutation, the derived rows and the
-    /// group tree — the streaming-append tentpole. Returns the canonical
-    /// insertion position, or `None` for a filtered-out row.
+    /// Splice `row` — base row `base_idx` as [`stage_base_rows`] ran it
+    /// through the query state — into the canonical relation, the
+    /// presentation permutation, the derived rows and the group tree:
+    /// the streaming-append tentpole.
     ///
     /// Grouped aggregates advance per-group running folds when the row
     /// lands at the canonical tail (ascending base ids make that the
@@ -936,8 +1019,9 @@ impl CacheEntry {
         &mut self,
         base: &Relation,
         base_idx: u32,
+        row: Tuple,
         state: &QueryState,
-    ) -> Result<Option<usize>> {
+    ) -> Result<()> {
         let internal = |detail: &str| SheetError::Internal {
             detail: detail.to_string(),
         };
@@ -946,75 +1030,6 @@ impl CacheEntry {
             .as_ref()
             .ok_or_else(|| internal("insert_base_row requires row provenance"))?;
         let cpos = ids.partition_point(|&b| b < base_idx);
-
-        // Build a one-row relation with the canonical schema and run the
-        // query state over it rank by rank: formulas of rank r are
-        // computed only if the row survived every selection of rank < r,
-        // exactly matching the full pipeline's fused ordering (a row the
-        // first selection kills never evaluates later formulas, so e.g.
-        // a division by zero there must not fail the append).
-        let mut vals: Vec<Value> = base.rows()[base_idx as usize].values().to_vec();
-        vals.resize(self.canonical.schema().len(), Value::Null);
-        let mut mini = Relation::with_rows(
-            "patch-row",
-            self.canonical.schema().clone(),
-            vec![Tuple::new(vals)],
-        )?;
-        let base_columns: BTreeSet<String> = base
-            .schema()
-            .columns()
-            .iter()
-            .map(|c| c.name.clone())
-            .collect();
-        let ranks = compute_ranks(&base_columns, &state.computed)
-            .ok_or_else(|| internal("cached state has unresolved computed dependencies"))?;
-        let sel_rank = |pred: &Expr| -> usize {
-            pred.columns()
-                .iter()
-                .filter_map(|c| {
-                    state
-                        .computed
-                        .iter()
-                        .position(|col| &col.name == c)
-                        .map(|i| ranks[i])
-                })
-                .max()
-                .unwrap_or(0)
-        };
-        let max_rank = ranks.iter().copied().max().unwrap_or(0);
-        for rank in 0..=max_rank {
-            if rank > 0 {
-                for (ci, col) in state.computed.iter().enumerate() {
-                    if ranks[ci] != rank {
-                        continue;
-                    }
-                    let v = match &col.def {
-                        // Aggregates are group-level; their value for the
-                        // new row is patched after insertion. Selections
-                        // never read them on this path (gated by
-                        // `base_patch_block`), so Null is fine here.
-                        ComputedDef::Aggregate { .. } => Value::Null,
-                        ComputedDef::Formula { .. } => {
-                            let (values, _) = compute_column_values(&mini, col, usize::MAX)?;
-                            values.into_iter().next().unwrap_or(Value::Null)
-                        }
-                    };
-                    mini.set_value(0, &col.name, v)?;
-                }
-            }
-            let rank_preds: Vec<Expr> = state
-                .selections
-                .iter()
-                .filter(|s| sel_rank(&s.predicate) == rank)
-                .map(|s| s.predicate.clone())
-                .collect();
-            if let Some(pred) = Expr::conjoin(rank_preds) {
-                if filter_relation(&mini, &pred, usize::MAX)?.is_empty() {
-                    return Ok(None);
-                }
-            }
-        }
-        let row = mini.rows()[0].clone();
 
         // Appending can only widen a computed column's unified type
         // (unify is monotone), so unify-up matches what a fresh
@@ -1164,7 +1179,7 @@ impl CacheEntry {
                 std::collections::btree_map::Entry::Vacant(slot) => {
                     let mut map: BTreeMap<Vec<Value>, Accum> = BTreeMap::new();
                     let basis_idx: Vec<usize> = target.iter().map(|&(i, _)| i).collect();
-                    for r in &canonical.rows()[..cpos] {
+                    for r in canonical.rows().iter().take(cpos) {
                         let key: Vec<Value> = basis_idx.iter().map(|&i| *r.get(i)).collect();
                         let acc = map
                             .entry(key)
@@ -1212,7 +1227,7 @@ impl CacheEntry {
                 }
             }
         }
-        Ok(Some(cpos))
+        Ok(())
     }
 
     /// Remove the base rows listed (ascending) in `removed` from the
@@ -1633,8 +1648,12 @@ impl Spreadsheet {
             Err(_) => {
                 // An incremental path failed part-way: the entry may be
                 // inconsistent. Drop it and re-evaluate from scratch —
-                // a genuine evaluation error resurfaces here.
+                // a genuine evaluation error resurfaces here. The
+                // fallback is recorded, so `explain` names it.
                 self.cache = None;
+                self.last_delta = StateDelta::Full {
+                    reason: "incremental patch failed",
+                };
                 let (derived, canonical, perm) =
                     evaluate_full_with(&self.base, &self.state, self.eval_opts)?;
                 self.cache = Some(CacheEntry::new(
@@ -2237,8 +2256,9 @@ impl Spreadsheet {
         let entry = cache.as_mut().ok_or_else(|| SheetError::Internal {
             detail: "base-data patch without a cached evaluation".to_string(),
         })?;
-        for i in 0..count {
-            entry.insert_base_row(base, (first + i) as u32, state)?;
+        let ids = (first..first + count).map(|i| i as u32).collect();
+        for (id, row) in stage_base_rows(entry.canonical.schema(), base, ids, state)? {
+            entry.insert_base_row(base, id, row, state)?;
         }
         Ok(())
     }
@@ -2291,7 +2311,9 @@ impl Spreadsheet {
             }
             entry.remove_canonical_row(cpos)?;
         }
-        entry.insert_base_row(base, row, state)?;
+        for (id, staged) in stage_base_rows(entry.canonical.schema(), base, vec![row], state)? {
+            entry.insert_base_row(base, id, staged, state)?;
+        }
         // Re-aggregate every old group unconditionally. Even when the
         // row re-enters the same group the fast "value unchanged" check
         // inside the insert is not sound here: the cached cells hold the
@@ -3036,6 +3058,13 @@ impl Spreadsheet {
     /// sheet, so the schemas must match exactly. Transactional: a state
     /// that cannot evaluate over the new data (a data-dependent formula
     /// failure, say) leaves the sheet on its old base.
+    ///
+    /// When the new base only *extends* the old one (see
+    /// [`Relation::extends`]) and the base-edit gates allow it, the warm
+    /// cache is patched with the appended rows exactly as
+    /// [`Self::append_rows`] would, and the edit records
+    /// [`StateDelta::RowsAppended`]. Any other rebase drops the cache and
+    /// records why as `Full { reason }`.
     pub fn rebase(&mut self, base: Arc<Relation>) -> Result<()> {
         if base.schema() != self.base.schema() {
             return Err(SheetError::NotCompatible {
@@ -3045,14 +3074,28 @@ impl Spreadsheet {
         if Arc::ptr_eq(&base, &self.base) {
             return Ok(());
         }
+        let reason = if base.extends(&self.base) {
+            // As in `append_rows`: a cache left stale by an unseen state
+            // edit must be brought current before it is patched. If that
+            // fails, the cache is untrustworthy and the gate below
+            // reports it missing.
+            if self.incremental
+                && !self.eval_opts.naive
+                && self.cache.is_some()
+                && self.view().is_err()
+            {
+                self.cache = None;
+            }
+            match self.base_patch_block() {
+                None => return self.rebase_appended(base),
+                Some(block) => block,
+            }
+        } else {
+            "new base does not extend the old one"
+        };
         let old_base = std::mem::replace(&mut self.base, base);
         let old_cache = self.cache.take();
-        let old_delta = std::mem::replace(
-            &mut self.last_delta,
-            StateDelta::Full {
-                reason: "base data changed",
-            },
-        );
+        let old_delta = std::mem::replace(&mut self.last_delta, StateDelta::Full { reason });
         if let Err(e) = self.trial_eval() {
             self.base = old_base;
             self.cache = old_cache;
@@ -3061,6 +3104,38 @@ impl Spreadsheet {
         }
         self.version += 1;
         Ok(())
+    }
+
+    /// The patch path of [`Self::rebase`]: `base` extends the current
+    /// base and the cache is current and patchable. On failure — the
+    /// self-audit included — the old base comes back and the (possibly
+    /// half-patched) cache is dropped.
+    fn rebase_appended(&mut self, base: Arc<Relation>) -> Result<()> {
+        let first = self.base.len();
+        let count = base.len() - first;
+        let old_base = std::mem::replace(&mut self.base, base);
+        let patched = Self::fault_base_append()
+            .and_then(|()| self.patch_base_append(first, count))
+            .and_then(|()| {
+                if self.audit {
+                    self.audit_cache("rows-appended")
+                } else {
+                    Ok(())
+                }
+            });
+        match patched {
+            Ok(()) => {
+                self.version += 1;
+                self.last_delta = StateDelta::RowsAppended { count };
+                Ok(())
+            }
+            Err(e) => {
+                self.base = old_base;
+                self.cache = None;
+                self.last_delta = FULL_NO_CACHE;
+                Err(e)
+            }
+        }
     }
 
     /// Restore from a raw snapshot (used by the history/undo machinery).

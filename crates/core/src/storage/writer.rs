@@ -276,7 +276,12 @@ pub(crate) fn encode_with_vv(sheet: &StoredSheet, vv: &VersionVector) -> Result<
         while first_row < rows.len() {
             let end = (first_row + PAGE_ROWS).min(rows.len());
             page.clear();
-            page.extend(rows[first_row..end].iter().map(|t| &t.values()[col]));
+            page.extend(
+                rows.iter()
+                    .skip(first_row)
+                    .take(end - first_row)
+                    .map(|t| &t.values()[col]),
+            );
             let payload = chunk_payload(col as u32, first_row as u64, &page, &dict);
             let off = write_frame(&mut out, FrameKind::Chunk, &payload)?;
             chunks.push((off, first_row as u64, page.len() as u32));

@@ -300,8 +300,8 @@ pub fn build_tree(data: &Relation, level_bases: &[Vec<String>]) -> GroupTree {
         // Boundary detection compares values in place; keys are cloned
         // only once per group, not once per row.
         let same_key = |a: usize, b: usize| {
-            idx.iter()
-                .all(|&i| data.rows()[a].get(i) == data.rows()[b].get(i))
+            let (ra, rb) = (&data.rows()[a], &data.rows()[b]);
+            idx.iter().all(|&i| ra.get(i) == rb.get(i))
         };
         let mut start = rows.start();
         while start < rows.end() {

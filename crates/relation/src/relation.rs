@@ -3,10 +3,13 @@
 //! A [`Relation`] keeps its tuples in insertion order — callers that need a
 //! particular presentation order sort explicitly. Multiset semantics follow
 //! the paper (Sec. III-B): duplicates are kept by projection and set
-//! operators, and `{t, t} − {t} = {t}`.
+//! operators, and `{t, t} − {t} = {t}`. The tuples live in chunked
+//! copy-on-write [`Rows`], so a clone is `O(rows / CHUNK_ROWS)` and an
+//! edit of a shared relation copies only the chunks it touches.
 
 use crate::error::{RelationError, Result};
 use crate::intern::Sym;
+use crate::rows::Rows;
 use crate::schema::{Column, Schema};
 use crate::tuple::Tuple;
 use crate::value::{Value, ValueType};
@@ -22,7 +25,7 @@ const DISTINCT_SAMPLE_BUDGET: usize = 1024;
 pub struct Relation {
     name: String,
     schema: Schema,
-    rows: Vec<Tuple>,
+    rows: Rows,
 }
 
 impl Relation {
@@ -31,7 +34,7 @@ impl Relation {
         Relation {
             name: name.into(),
             schema,
-            rows: Vec::new(),
+            rows: Rows::new(),
         }
     }
 
@@ -42,9 +45,7 @@ impl Relation {
         rows: Vec<Tuple>,
     ) -> Result<Relation> {
         let mut r = Relation::new(name, schema);
-        for t in rows {
-            r.insert(t)?;
-        }
+        r.append_rows(rows)?;
         Ok(r)
     }
 
@@ -72,11 +73,8 @@ impl Relation {
             });
         }
         let mut r = Relation::new(name, schema);
-        r.rows.reserve(rows);
-        for i in 0..rows {
-            r.rows
-                .push(Tuple::new(columns.iter().map(|c| c[i]).collect()));
-        }
+        r.rows
+            .extend((0..rows).map(|i| Tuple::new(columns.iter().map(|c| c[i]).collect())));
         Ok(r)
     }
 
@@ -96,12 +94,23 @@ impl Relation {
         &mut self.schema
     }
 
-    pub fn rows(&self) -> &[Tuple] {
+    pub fn rows(&self) -> &Rows {
         &self.rows
     }
 
-    pub fn rows_mut(&mut self) -> &mut Vec<Tuple> {
+    /// The rows for in-place editing; every edit copies the chunks it
+    /// touches if they are shared with a clone.
+    pub fn rows_mut(&mut self) -> &mut Rows {
         &mut self.rows
+    }
+
+    /// Whether `self` is `older` plus zero or more appended rows: same
+    /// schema, and `older`'s rows are a prefix of `self`'s. Checked in
+    /// `O(chunks + CHUNK_ROWS)` by [`Rows::extends`], so it recognizes an
+    /// append made to a clone of `older`, not an equal prefix built
+    /// independently.
+    pub fn extends(&self, older: &Relation) -> bool {
+        self.schema == older.schema && self.rows.extends(&older.rows)
     }
 
     pub fn len(&self) -> usize {
@@ -131,8 +140,8 @@ impl Relation {
     /// Append a batch of tuples, validating every width **before** the
     /// first mutation so a bad batch leaves the relation untouched.
     /// String values were interned when the tuples were built, so the
-    /// append itself is a pure `memcpy`-class extend. Returns the index
-    /// of the first appended row.
+    /// append itself is a pure `memcpy`-class extend that copies at most
+    /// the shared tail chunk. Returns the index of the first appended row.
     pub fn append_rows(&mut self, rows: Vec<Tuple>) -> Result<usize> {
         for t in &rows {
             if t.len() != self.schema.len() {
@@ -147,14 +156,21 @@ impl Relation {
             }
         }
         let first = self.rows.len();
-        self.rows.extend(rows);
+        if first == 0 {
+            // A fresh relation adopts the batch (its allocation, when it
+            // fits one chunk) instead of moving row by row.
+            self.rows = Rows::from(rows);
+        } else {
+            self.rows.extend(rows);
+        }
         Ok(first)
     }
 
     /// Remove the rows at `indices` (any order, duplicates ignored),
     /// returning the removed `(index, tuple)` pairs in ascending index
     /// order — exactly what [`Relation::reinsert_rows`] needs to undo the
-    /// removal. One retain pass, `O(rows)`.
+    /// removal. One retain pass; chunks before the first removed row stay
+    /// shared.
     pub fn remove_rows_at(&mut self, indices: &[u32]) -> Result<Vec<(u32, Tuple)>> {
         for &i in indices {
             if i as usize >= self.rows.len() {
@@ -172,13 +188,11 @@ impl Relation {
             drop[i as usize] = true;
         }
         let mut removed = Vec::with_capacity(indices.len());
-        let mut i = 0;
-        self.rows.retain(|t| {
+        self.rows.retain(|i, t| {
             if drop[i] {
                 removed.push((i as u32, t.clone()));
             }
-            i += 1;
-            !drop[i - 1]
+            !drop[i]
         });
         Ok(removed)
     }
@@ -187,11 +201,8 @@ impl Relation {
     /// their original positions. `removed` must be the pairs that call
     /// returned (ascending original indices).
     pub fn reinsert_rows(&mut self, removed: Vec<(u32, Tuple)>) {
-        // Inserting in ascending original-index order keeps every later
-        // original index valid as the vector regrows.
-        for (idx, t) in removed {
-            self.rows.insert(idx as usize, t);
-        }
+        self.rows
+            .insert_sorted(removed.into_iter().map(|(i, t)| (i as usize, t)).collect());
     }
 
     /// Overwrite one cell, returning the previous value (for rollback).
@@ -203,8 +214,9 @@ impl Relation {
                 len: self.rows.len(),
             });
         }
-        let old = *self.rows[row].get(idx);
-        self.rows[row].set(idx, value);
+        let tuple = &mut self.rows[row];
+        let old = *tuple.get(idx);
+        tuple.set(idx, value);
         Ok(old)
     }
 
@@ -251,15 +263,11 @@ impl Relation {
     }
 
     /// Keep only the rows whose index satisfies `keep`, preserving order.
-    /// Runs in place — surviving tuples are moved, never cloned — which is
-    /// what makes narrowing a cached evaluation cheaper than re-gathering.
+    /// Surviving tuples of an unshared relation are moved, never cloned —
+    /// which is what makes narrowing a cached evaluation cheaper than
+    /// re-gathering.
     pub fn retain_rows(&mut self, mut keep: impl FnMut(usize) -> bool) {
-        let mut i = 0;
-        self.rows.retain(|_| {
-            let k = keep(i);
-            i += 1;
-            k
-        });
+        self.rows.retain(|i, _| keep(i));
     }
 
     /// Add a column filled by `fill(row_index, tuple)`.
@@ -270,16 +278,10 @@ impl Relation {
         if self.schema.contains(&column.name) {
             return Err(RelationError::DuplicateColumn { name: column.name });
         }
-        // Compute all values before mutating the schema so `fill` sees
-        // consistent widths.
-        let values: Vec<Value> = self
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(i, t)| fill(i, t))
-            .collect();
         self.schema.push(column)?;
-        for (t, v) in self.rows.iter_mut().zip(values) {
+        // One pass: `fill` sees each row before its new value lands.
+        for (i, t) in self.rows.iter_mut().enumerate() {
+            let v = fill(i, t);
             t.push(v);
         }
         Ok(())
@@ -288,7 +290,7 @@ impl Relation {
     /// Remove a column and its values from every row.
     pub fn drop_column(&mut self, name: &str) -> Result<()> {
         let idx = self.schema.remove(name)?;
-        for t in &mut self.rows {
+        for t in self.rows.iter_mut() {
             t.remove(idx);
         }
         Ok(())
@@ -300,8 +302,8 @@ impl Relation {
         if self.schema != other.schema || self.len() != other.len() {
             return false;
         }
-        let mut a = self.rows.clone();
-        let mut b = other.rows.clone();
+        let mut a = self.rows.to_vec();
+        let mut b = other.rows.to_vec();
         a.sort();
         b.sort();
         a == b
@@ -320,7 +322,7 @@ impl Relation {
             .map(|c| other.schema.index_of(&c.name).ok())
             .collect();
         let Some(mapping) = mapping else { return false };
-        let mut a = self.rows.clone();
+        let mut a = self.rows.to_vec();
         let mut b: Vec<Tuple> = other.rows.iter().map(|t| t.project(&mapping)).collect();
         a.sort();
         b.sort();
@@ -445,7 +447,7 @@ impl Relation {
 /// lives as long as the relation it was taken from.
 #[derive(Clone, Copy)]
 pub struct ColumnSlice<'a> {
-    rows: &'a [Tuple],
+    rows: &'a Rows,
     idx: usize,
 }
 
@@ -554,11 +556,13 @@ mod tests {
     #[test]
     fn multiset_eq_ignores_row_order() {
         let a = cars();
-        let mut b = cars();
-        b.rows_mut().reverse();
+        let mut rows = a.rows().to_vec();
+        rows.reverse();
+        let b = Relation::with_rows("b", a.schema().clone(), rows.clone()).unwrap();
         assert!(a.multiset_eq(&b));
-        b.rows_mut().pop();
-        assert!(!a.multiset_eq(&b));
+        rows.pop();
+        let c = Relation::with_rows("c", a.schema().clone(), rows).unwrap();
+        assert!(!a.multiset_eq(&c));
     }
 
     #[test]

@@ -263,7 +263,7 @@ fn sort_is_stable_permutation() {
         assert!(col.windows(2).all(|w| w[0] <= w[1]));
         // stability: rows with equal x keep their original relative order
         let orig: Vec<&Tuple> = a.rows().iter().collect();
-        for w in sorted.rows().windows(2) {
+        for w in sorted.rows().to_vec().windows(2) {
             if w[0].get(0) == w[1].get(0) {
                 let i = orig.iter().position(|t| *t == &w[0]).unwrap();
                 let j = orig.iter().rposition(|t| *t == &w[1]).unwrap();
@@ -380,5 +380,299 @@ fn aggregate_concat_laws() {
             AggFunc::Min.apply(&vy).unwrap(),
         );
         assert_eq!(min_both, min_parts);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Chunked copy-on-write row storage
+// ---------------------------------------------------------------------
+
+use ssa_relation::rows::CHUNK_ROWS;
+
+/// Sizes on both sides of a chunk boundary, plus several full chunks
+/// with a partial tail.
+const CHUNK_SIZES: [usize; 4] = [
+    CHUNK_ROWS - 1,
+    CHUNK_ROWS,
+    CHUNK_ROWS + 1,
+    3 * CHUNK_ROWS + 17,
+];
+
+fn numbered(n: usize) -> Relation {
+    Relation::with_rows(
+        "n",
+        Schema::of(&[("x", Int), ("s", Str)]),
+        (0..n).map(|i| numbered_row(i as i64)).collect(),
+    )
+    .expect("widths match")
+}
+
+fn numbered_row(i: i64) -> Tuple {
+    Tuple::new(vec![
+        Value::Int(i),
+        Value::str(["p", "q", "r"][i as usize % 3]),
+    ])
+}
+
+/// Every chunk but the last is full; the last is non-empty.
+fn assert_chunked(r: &Relation, ctx: &str) {
+    let sizes: Vec<usize> = r.rows().chunks().map(|c| c.len()).collect();
+    assert_eq!(sizes.iter().sum::<usize>(), r.len(), "{ctx}: chunk sizes");
+    assert!(
+        sizes.iter().rev().skip(1).all(|&n| n == CHUNK_ROWS),
+        "{ctx}: inner chunk not full: {sizes:?}"
+    );
+    assert!(
+        sizes.last().is_none_or(|&n| n > 0),
+        "{ctx}: empty tail chunk"
+    );
+}
+
+/// One mutator applied both to a relation and to a plain-vector model.
+#[derive(Debug, Clone)]
+enum Mutation {
+    Append(usize),
+    SetValue(usize),
+    Remove(Vec<u32>),
+    RemoveReinsert(Vec<u32>),
+    IndexMut(usize),
+    Insert(usize),
+    IterMut,
+    Retain(u64),
+    AddColumn,
+    DropColumn,
+    Sort,
+}
+
+impl Mutation {
+    fn arb(rng: &mut Rng, n: usize) -> Mutation {
+        let some_rows = |rng: &mut Rng| -> Vec<u32> {
+            (0..rng.gen_range(1..=5usize))
+                .map(|_| rng.gen_range(0..n as u64) as u32)
+                .collect()
+        };
+        match rng.gen_range(0..11usize) {
+            0 => Mutation::Append(rng.gen_range(1..=CHUNK_ROWS + 3)),
+            1 => Mutation::SetValue(rng.gen_range(0..n)),
+            2 => Mutation::Remove(some_rows(rng)),
+            3 => Mutation::RemoveReinsert(some_rows(rng)),
+            4 => Mutation::IndexMut(rng.gen_range(0..n)),
+            5 => Mutation::Insert(rng.gen_range(0..=n)),
+            6 => Mutation::IterMut,
+            7 => Mutation::Retain(rng.gen_range(2..7u64)),
+            8 => Mutation::AddColumn,
+            9 => Mutation::DropColumn,
+            _ => Mutation::Sort,
+        }
+    }
+
+    fn apply(&self, r: &mut Relation) {
+        match self {
+            Mutation::Append(k) => {
+                let first = r.len() as i64;
+                r.append_rows((first..first + *k as i64).map(numbered_row).collect())
+                    .expect("widths match");
+            }
+            Mutation::SetValue(i) => {
+                r.set_value(*i, "x", Value::Int(-1)).expect("in range");
+            }
+            Mutation::Remove(ids) => {
+                r.remove_rows_at(ids).expect("in range");
+            }
+            Mutation::RemoveReinsert(ids) => {
+                let removed = r.remove_rows_at(ids).expect("in range");
+                r.reinsert_rows(removed);
+            }
+            Mutation::IndexMut(i) => r.rows_mut()[*i].set(1, Value::str("z")),
+            Mutation::Insert(at) => r.rows_mut().insert(*at, numbered_row(-2)),
+            Mutation::IterMut => {
+                for t in r.rows_mut().iter_mut() {
+                    let Value::Int(x) = *t.get(0) else { continue };
+                    t.set(0, Value::Int(x + 1));
+                }
+            }
+            Mutation::Retain(m) => r.retain_rows(|i| !(i as u64).is_multiple_of(*m)),
+            Mutation::AddColumn => r
+                .add_column(ssa_relation::Column::new("y", Int), |i, _| {
+                    Value::Int(i as i64)
+                })
+                .expect("fresh column"),
+            Mutation::DropColumn => r.drop_column("s").expect("column exists"),
+            Mutation::Sort => r.rows_mut().sort_by(|a, b| b.get(1).cmp(a.get(1))),
+        }
+    }
+
+    /// The same edit on a plain vector of rows.
+    fn model(&self, rows: &mut Vec<Tuple>) {
+        match self {
+            Mutation::Append(k) => {
+                let first = rows.len() as i64;
+                rows.extend((first..first + *k as i64).map(numbered_row));
+            }
+            Mutation::SetValue(i) => rows[*i].set(0, Value::Int(-1)),
+            Mutation::Remove(ids) => {
+                let mut i = 0;
+                rows.retain(|_| {
+                    i += 1;
+                    !ids.contains(&(i as u32 - 1))
+                });
+            }
+            Mutation::RemoveReinsert(_) => {}
+            Mutation::IndexMut(i) => rows[*i].set(1, Value::str("z")),
+            Mutation::Insert(at) => rows.insert(*at, numbered_row(-2)),
+            Mutation::IterMut => {
+                for t in rows.iter_mut() {
+                    let Value::Int(x) = *t.get(0) else { continue };
+                    t.set(0, Value::Int(x + 1));
+                }
+            }
+            Mutation::Retain(m) => {
+                let mut i = 0u64;
+                rows.retain(|_| {
+                    i += 1;
+                    !(i - 1).is_multiple_of(*m)
+                });
+            }
+            Mutation::AddColumn => {
+                for (i, t) in rows.iter_mut().enumerate() {
+                    t.push(Value::Int(i as i64));
+                }
+            }
+            Mutation::DropColumn => {
+                for t in rows.iter_mut() {
+                    t.remove(1);
+                }
+            }
+            Mutation::Sort => rows.sort_by(|a, b| b.get(1).cmp(a.get(1))),
+        }
+    }
+}
+
+/// A clone shares every chunk, yet no mutator on either side leaks into
+/// the other: the untouched side keeps its exact rows, and the edited
+/// side matches the same edit on a plain vector and keeps the chunk
+/// invariant.
+#[test]
+fn chunked_clones_are_isolated_under_every_mutator() {
+    for (si, &n) in CHUNK_SIZES.iter().enumerate() {
+        let original = numbered(n);
+        let before = original.rows().to_vec();
+        let mut rng = Rng::seed_from_u64(0x0C ^ ((si as u64) << 8));
+        for case in 0..24 {
+            let m = Mutation::arb(&mut rng, n);
+            let ctx = format!("n {n} case {case} {m:?}");
+            let mut edited = original.clone();
+            m.apply(&mut edited);
+            let mut model = before.clone();
+            m.model(&mut model);
+            assert_eq!(*edited.rows(), model, "{ctx}: edit diverged from the model");
+            assert_chunked(&edited, &ctx);
+            assert_eq!(
+                *original.rows(),
+                before,
+                "{ctx}: edit leaked into the original"
+            );
+            // And the other direction: editing the original after the
+            // clone leaves the clone alone.
+            let mut source = original.clone();
+            let copy = source.clone();
+            m.apply(&mut source);
+            assert_eq!(*copy.rows(), before, "{ctx}: edit leaked into the clone");
+        }
+    }
+}
+
+/// Appends that cross chunk boundaries keep full inner chunks, leave
+/// every earlier snapshot untouched, and are recognized as extensions.
+#[test]
+fn append_chains_cross_chunk_boundaries() {
+    for case in 0..8u64 {
+        let mut rng = Rng::seed_from_u64(0x0D ^ (case << 8));
+        let mut r = numbered(rng.gen_range(0..CHUNK_ROWS * 2));
+        let mut model = r.rows().to_vec();
+        for step in 0..12 {
+            let snapshot = r.clone();
+            let k = match rng.gen_range(0..3usize) {
+                0 => rng.gen_range(1..=3usize),
+                1 => rng.gen_range(1..=CHUNK_ROWS),
+                _ => CHUNK_ROWS - r.len() % CHUNK_ROWS,
+            };
+            Mutation::Append(k).apply(&mut r);
+            Mutation::Append(k).model(&mut model);
+            let ctx = format!("case {case} step {step} +{k}");
+            assert_chunked(&r, &ctx);
+            assert_eq!(*r.rows(), model, "{ctx}");
+            assert_eq!(snapshot.len() + k, r.len(), "{ctx}");
+            assert_eq!(
+                *snapshot.rows(),
+                model[..snapshot.len()],
+                "{ctx}: snapshot moved"
+            );
+            assert!(
+                r.extends(&snapshot),
+                "{ctx}: append not seen as an extension"
+            );
+            assert!(
+                !snapshot.extends(&r),
+                "{ctx}: a prefix extends its extension"
+            );
+        }
+    }
+}
+
+/// `remove_rows_at` then `reinsert_rows` restores the relation exactly,
+/// at every size and for index sets spanning several chunks.
+#[test]
+fn remove_reinsert_round_trips_across_chunks() {
+    for (si, &n) in CHUNK_SIZES.iter().enumerate() {
+        let original = numbered(n);
+        let mut rng = Rng::seed_from_u64(0x0E ^ ((si as u64) << 8));
+        for case in 0..16 {
+            let ids: Vec<u32> = (0..rng.gen_range(1..=40usize))
+                .map(|_| rng.gen_range(0..n as u64) as u32)
+                .collect();
+            let mut r = original.clone();
+            let removed = r.remove_rows_at(&ids).expect("in range");
+            let mut distinct = ids.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(removed.len(), distinct.len(), "n {n} case {case}");
+            assert_eq!(r.len(), n - distinct.len(), "n {n} case {case}");
+            assert_chunked(&r, "after remove");
+            r.reinsert_rows(removed);
+            assert_eq!(r, original, "n {n} case {case}: round trip");
+            assert_chunked(&r, "after reinsert");
+        }
+    }
+}
+
+/// `extends` holds after any append chain and fails once any row of the
+/// old prefix was changed, removed or displaced — whatever is appended
+/// afterwards.
+#[test]
+fn extension_check_detects_prefix_mutations() {
+    for (si, &n) in CHUNK_SIZES.iter().enumerate() {
+        let old = numbered(n);
+        let mut rng = Rng::seed_from_u64(0x0F ^ ((si as u64) << 8));
+        for case in 0..24 {
+            let mut chained = old.clone();
+            for _ in 0..rng.gen_range(0..4usize) {
+                Mutation::Append(rng.gen_range(1..=CHUNK_ROWS + 3)).apply(&mut chained);
+            }
+            assert!(chained.extends(&old), "n {n} case {case}: append chain");
+            let prefix_edit = match rng.gen_range(0..4usize) {
+                0 => Mutation::SetValue(rng.gen_range(0..n)),
+                1 => Mutation::IndexMut(rng.gen_range(0..n)),
+                2 => Mutation::Remove(vec![rng.gen_range(0..n as u64) as u32]),
+                _ => Mutation::Insert(rng.gen_range(0..n)),
+            };
+            let mut edited = old.clone();
+            prefix_edit.apply(&mut edited);
+            Mutation::Append(rng.gen_range(1..=8usize)).apply(&mut edited);
+            assert!(
+                !edited.extends(&old),
+                "n {n} case {case}: {prefix_edit:?} then append still extends"
+            );
+        }
     }
 }

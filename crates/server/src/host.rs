@@ -606,7 +606,12 @@ impl ServerState {
 
     /// Re-pin a session to its sheet's latest snapshot, keeping the
     /// session's query state (selections, grouping, aggregates) intact —
-    /// the paper's Sec. V split makes this a pure base swap + re-eval.
+    /// the paper's Sec. V split makes this a base swap. When the writer
+    /// only appended since the session's pin, the new base shares every
+    /// full row chunk with the old one, and `Spreadsheet::rebase` patches
+    /// the session's warm cache with just the new rows (`RowsAppended`);
+    /// any other change drops the cache for a full re-evaluation on the
+    /// next view, recorded as `Full { reason }`.
     pub fn refresh_session(&self, id: u64) -> Result<u64> {
         let slot = self.session(id)?;
         let mut slot = match slot.lock() {

@@ -115,6 +115,24 @@ expect_contains() {
     esac
 }
 
+# session_id OPEN_REPLY -> the session id in a POST /sessions reply.
+session_id() {
+    printf '%s' "$1" | sed -n 's/.*"session": \([0-9]*\).*/\1/p'
+}
+
+# expect_same_view REFRESHED_VIEW SESSION_ID LABEL: a refreshed session
+# must show byte for byte what a fresh session with the same gestures
+# shows.
+expect_same_view() {
+    fresh="$(req GET "/sessions/$2/view" 200)"
+    if [ "$1" != "$fresh" ]; then
+        echo "server_smoke: $3: refreshed view differs from a fresh session's" >&2
+        printf '%s\n--- fresh ---\n%s\n' "$1" "$fresh" >&2
+        exit 1
+    fi
+    req DELETE "/sessions/$2" 200 >/dev/null
+}
+
 echo "==> health + preloaded catalog"
 req GET /health 200 >/dev/null
 sheets="$(req GET /sheets 200)"
@@ -136,8 +154,8 @@ req GET /sheets/nosuch 404 >/dev/null
 echo "==> two sessions pin the same snapshot, one queries"
 s1="$(req POST '/sessions?sheet=fruit' 201)"
 s2="$(req POST '/sessions?sheet=fruit' 201)"
-id1="$(printf '%s' "$s1" | sed -n 's/.*"session": \([0-9]*\).*/\1/p')"
-id2="$(printf '%s' "$s2" | sed -n 's/.*"session": \([0-9]*\).*/\1/p')"
+id1="$(session_id "$s1")"
+id2="$(session_id "$s2")"
 printf 'order price desc' >"$WORK_DIR/op"
 req POST "/sessions/$id1/apply" 200 "$WORK_DIR/op" >/dev/null
 view1="$(req GET "/sessions/$id1/view" 200)"
@@ -173,6 +191,25 @@ if [ "$view1" != "$view1_after" ]; then
     echo "server_smoke: session 1 drifted after session 2 refreshed" >&2
     exit 1
 fi
+
+echo "==> refreshed sessions show exactly what fresh sessions show"
+id3="$(session_id "$(req POST '/sessions?sheet=fruit' 201)")"
+expect_same_view "$view2" "$id3" "refresh across an append and a cell update"
+# Append-only commits: once session 1 is current and warm, its next
+# refresh patches the ordered view instead of re-evaluating it.
+req POST "/sessions/$id1/refresh" 200 >/dev/null
+req GET "/sessions/$id1/view" 200 >/dev/null
+printf 'elderberry,9,1.25\nfig,3,0.75' >"$WORK_DIR/rows"
+req POST /sheets/fruit/rows 200 "$WORK_DIR/rows" >/dev/null
+req POST "/sessions/$id1/refresh" 200 >/dev/null
+view1="$(req GET "/sessions/$id1/view" 200)"
+expect_contains "$view1" elderberry "refreshed session sees the appended rows"
+plan1="$(req GET "/sessions/$id1/explain" 200)"
+expect_contains "$plan1" "rows appended (2)" "append-only refresh patches the warm view"
+id3="$(session_id "$(req POST '/sessions?sheet=fruit' 201)")"
+printf 'order price desc' >"$WORK_DIR/op"
+req POST "/sessions/$id3/apply" 200 "$WORK_DIR/op" >/dev/null
+expect_same_view "$view1" "$id3" "refresh across appends only"
 
 echo "==> error mapping: write commands in sessions are 409, bad ops 400"
 printf 'setcell 1 qty 99' >"$WORK_DIR/op"

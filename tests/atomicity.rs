@@ -32,9 +32,11 @@ fn test_lock() -> Option<()> {
     None
 }
 
-/// The two sheets are indistinguishable: same query state, same epoch,
-/// and the same evaluated view.
+/// The two sheets are indistinguishable: same base data and data
+/// version, same query state, same epoch, and the same evaluated view.
 fn assert_identical(a: &mut Spreadsheet, b: &mut Spreadsheet, ctx: &str) {
+    assert_eq!(a.base(), b.base(), "{ctx}: base diverged");
+    assert_eq!(a.version(), b.version(), "{ctx}: version diverged");
     assert_eq!(a.state(), b.state(), "{ctx}: state diverged");
     assert_eq!(a.epoch(), b.epoch(), "{ctx}: epoch diverged");
     let va = a.view().expect("left view").clone();
@@ -177,9 +179,54 @@ fn open_validates_stored_sheets() {
 #[cfg(feature = "fault-injection")]
 mod injected {
     use super::*;
+    use spreadsheet_algebra::StateDelta;
     use ssa_relation::fault::{self, Behavior};
     use ssa_relation::rng::Rng;
     use ssa_relation::{Relation, RelationError, Schema, Tuple, Value, ValueType};
+    use std::sync::Arc;
+
+    /// One step of the randomized atomicity suite: a unary operator, or
+    /// a rebase onto an extension of the current base — `k` rows
+    /// appended to a clone of `base_arc()`, as a snapshot host publishes
+    /// them — so the armed sites also meet the rebase patch path.
+    #[derive(Debug)]
+    enum Step {
+        Op(AlgebraOp),
+        Extend(Vec<Tuple>),
+    }
+
+    impl Step {
+        fn apply(&self, sheet: &mut Spreadsheet) -> spreadsheet_algebra::Result<()> {
+            match self {
+                Step::Op(op) => op.apply(sheet),
+                Step::Extend(rows) => {
+                    let mut base = (*sheet.base_arc()).clone();
+                    base.append_rows(rows.clone())?;
+                    sheet.rebase(Arc::new(base))
+                }
+            }
+        }
+    }
+
+    fn arb_step(rng: &mut Rng) -> Step {
+        if rng.gen_range(0..4usize) > 0 {
+            return Step::Op(arb_op(rng));
+        }
+        let k = rng.gen_range(1..=3usize);
+        let rows = (0..k)
+            .map(|_| {
+                Tuple::new(vec![
+                    Value::Int(rng.gen_range(900..999i64)),
+                    Value::str(*rng.pick(&["Jetta", "Civic", "Accord"])),
+                    Value::Int(rng.gen_range(12_000..19_000i64)),
+                    Value::Int(rng.gen_range(2003..2008i64)),
+                    Value::Int(rng.gen_range(20_000..90_000i64)),
+                    Value::str(*rng.pick(&["Good", "Excellent"])),
+                ])
+            })
+            .collect();
+        Step::Extend(rows)
+    }
 
     /// Every named failpoint the library crates expose.
     const SITES: &[&str] = &[
@@ -219,7 +266,7 @@ mod injected {
             let mut oracle = sheet.clone();
             oracle.set_naive_eval(true);
             for step in 0..4u64 {
-                let op = arb_op(&mut rng);
+                let op = arb_step(&mut rng);
                 let site = SITES[rng.gen_range(0..SITES.len())];
                 let nth = rng.gen_range(1..=2u64);
                 let ctx = format!("case {case} step {step} op {op:?} site {site}@{nth}");
@@ -355,6 +402,48 @@ mod injected {
             s.view().unwrap(),
             oracle.view().unwrap(),
             "clean replay diverged from the naive oracle"
+        );
+    }
+
+    /// A failed incremental patch inside `view` is not silent: the view
+    /// still succeeds through the full re-evaluation, equals the naive
+    /// oracle, and `last_delta`/`explain` name the fallback instead of
+    /// the patch that failed.
+    #[test]
+    fn failed_view_patch_falls_back_and_says_so() {
+        let _guard = fault::lock();
+        let mut s = Spreadsheet::over(used_cars());
+        s.group(&["Model"], Direction::Asc).unwrap();
+        s.aggregate(AggFunc::Avg, "Price", 2).unwrap();
+        s.select(Expr::col("Year").ge(Expr::lit(2004))).unwrap();
+        s.view().unwrap();
+        let mut oracle = s.clone();
+        oracle.set_naive_eval(true);
+
+        let narrowing = Expr::col("Price").lt(Expr::lit(17_000));
+        s.select(narrowing.clone()).unwrap();
+        oracle.select(narrowing).unwrap();
+        assert!(
+            matches!(s.last_delta(), StateDelta::Narrow { .. }),
+            "the edit must classify as a narrowing, got {}",
+            s.last_delta()
+        );
+        fault::arm("delta.narrow", 1, Behavior::Error);
+        let view = s.view().map(|v| v.clone());
+        fault::disarm("delta.narrow");
+        let view = view.expect("view falls back to a full evaluation");
+        assert_eq!(
+            &view,
+            oracle.view().unwrap(),
+            "fallback diverged from the oracle"
+        );
+        let fallback = StateDelta::Full {
+            reason: "incremental patch failed",
+        };
+        assert_eq!(s.last_delta(), &fallback);
+        assert!(
+            s.explain().unwrap().contains("incremental patch failed"),
+            "explain must name the fallback"
         );
     }
 

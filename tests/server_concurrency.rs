@@ -183,6 +183,141 @@ fn interleaved_sessions_match_single_site_oracle() {
     }
 }
 
+/// Refresh differential: a session refreshed onto a newer snapshot shows
+/// exactly what a fresh session replaying its script over that snapshot
+/// shows, across random interleavings of appends, deletes, cell updates
+/// and a replica sync exchange. And when only appends happened since the
+/// session's pin, the refresh patches the warm cache (`RowsAppended`)
+/// whenever appending the same rows to the pinned sheet would.
+#[test]
+fn refreshed_sessions_match_fresh_sessions() {
+    use spreadsheet_algebra::{DurableSheet, StateDelta};
+    use ssa_relation::Value;
+    use ssa_server::ServerState;
+
+    let _guard = test_lock();
+    let mut rng = Rng::seed_from_u64(0x2EF2_E5B0);
+    let mut patched = 0;
+    for case in 0..3u64 {
+        let (base, mut feed) = orders(300, 40 + case);
+        let state = ServerState::new();
+        state.create_sheet(base.clone()).expect("host sheet");
+        let host = state.host("orders").expect("hosted");
+        let peer = SheetHost::from_durable(DurableSheet::in_memory(1, base).expect("peer replica"));
+
+        // Each session: id, the script it ran, and whether every commit
+        // since its pin was an append.
+        let mut sessions: Vec<(u64, Vec<&str>, bool)> = Vec::new();
+        for _ in 0..4 {
+            let (id, _) = state.create_session("orders").expect("open session");
+            let script: Vec<&str> = (0..rng.gen_range(0..6usize))
+                .map(|_| *rng.pick(OPS))
+                .collect();
+            let slot = state.session(id).expect("session");
+            let mut slot = slot.lock().expect("session lock");
+            for op in &script {
+                let _ = slot.script.execute(op);
+            }
+            slot.script.execute("show").expect("warm view");
+            sessions.push((id, script, true));
+        }
+        let sync_step = rng.gen_range(4..16usize);
+        for step in 0..20usize {
+            let ctx = format!("case {case} step {step}");
+            let len = host.snapshot().base.len();
+            let appended_only = match rng.gen_range(0..6usize) {
+                0..=2 => {
+                    host.append_rows(feed.batch(rng.gen_range(1..12usize)))
+                        .expect("append");
+                    true
+                }
+                3 => {
+                    let ids: Vec<u32> = (0..rng.gen_range(1..4usize))
+                        .map(|_| rng.gen_range(0..len as u64) as u32)
+                        .collect();
+                    host.delete_rows(&ids).expect("delete");
+                    false
+                }
+                4 => {
+                    let row = rng.gen_range(0..len as u64) as u32;
+                    let price = Value::Float(rng.gen_range(1_000..400_000i64) as f64);
+                    host.update_cell(row, "o_totalprice", price)
+                        .expect("update");
+                    false
+                }
+                _ => true,
+            };
+            let synced = step == sync_step;
+            if synced {
+                peer.append_rows(feed.batch(4)).expect("peer append");
+                peer.update_cell(2, "o_orderpriority", Value::str("1-URGENT"))
+                    .expect("peer update");
+                host.sync_exchange(&peer.sync_pull().expect("peer pull"))
+                    .expect("sync exchange");
+            }
+            for s in sessions.iter_mut() {
+                s.2 &= appended_only && !synced;
+            }
+
+            let pick = rng.gen_range(0..sessions.len());
+            let (id, script, only_appends) = &mut sessions[pick];
+            if rng.gen_bool(0.4) {
+                // Another gesture before the refresh; history commands
+                // stay in the opening script, since undo restores the
+                // base its snapshot captured.
+                let op = *rng.pick(&OPS[..OPS.len() - 2]);
+                let slot = state.session(*id).expect("session");
+                let _ = slot.lock().expect("session lock").script.execute(op);
+                script.push(op);
+            }
+            let slot = state.session(*id).expect("session");
+            let snapshot = host.snapshot();
+            // What appending the same rows to the pinned sheet would do.
+            let mut probe = {
+                let mut slot = slot.lock().expect("session lock");
+                slot.script
+                    .session
+                    .engine()
+                    .expect("engine")
+                    .sheet()
+                    .clone()
+            };
+            let pinned_len = probe.base().len();
+            let expect_patch = *only_appends && pinned_len < snapshot.base.len() && {
+                let fresh_rows = snapshot.base.rows().iter().skip(pinned_len).cloned();
+                probe.append_rows(fresh_rows.collect()).is_ok()
+                    && matches!(probe.last_delta(), StateDelta::RowsAppended { .. })
+            };
+            state.refresh_session(*id).expect("refresh");
+            *only_appends = true;
+            let (refreshed, delta) = {
+                let mut slot = slot.lock().expect("session lock");
+                let view = slot.script.execute("show").expect("refreshed view");
+                let engine = slot.script.session.engine().expect("engine");
+                (view, engine.sheet().last_delta().clone())
+            };
+
+            let mut fresh = session_over(&snapshot);
+            for op in script.iter() {
+                let _ = fresh.script.execute(op);
+            }
+            let want = fresh.script.execute("show").expect("fresh view");
+            assert_eq!(
+                refreshed, want,
+                "{ctx}: refreshed view diverged from a fresh session"
+            );
+            if expect_patch {
+                assert!(
+                    matches!(delta, StateDelta::RowsAppended { .. }),
+                    "{ctx}: append-only refresh took {delta}"
+                );
+                patched += 1;
+            }
+        }
+    }
+    assert!(patched > 0, "no refresh reached the append patch path");
+}
+
 #[cfg(feature = "fault-injection")]
 mod injected {
     use super::*;
