@@ -11,7 +11,8 @@
 //! formatted once into a shared text buffer (strings are read in place
 //! from the interner), column widths fall out of that pass, and the rows
 //! are copied into an output string sized exactly from the widths. All
-//! three renderers format cells through `push_value`.
+//! three renderers format cells through `push_value`, which writes ints
+//! and most floats digit by digit instead of going through `core::fmt`.
 
 use crate::eval::Derived;
 use crate::tree::GroupNode;
@@ -30,7 +31,7 @@ pub fn render_table(view: &Derived) -> String {
     // One pass formats every visible non-string cell into `text`; `ends[r
     // * ncols + k]` is where cell (r, k) stops there (string cells take no
     // room). `multibyte` counts the bytes beyond one per char, which the
-    // padding does not absorb.
+    // padding does not absorb; only string cells can have any.
     let mut widths: Vec<usize> = view.visible.iter().map(|c| c.len()).collect();
     let mut text = String::new();
     let mut ends = Vec::with_capacity(rows.len() * idx.len());
@@ -42,9 +43,9 @@ pub fn render_table(view: &Derived) -> String {
             if !matches!(v, Value::Str(_)) {
                 push_value(&mut text, v);
             }
-            let cell = cell_text(v, &text[start..]);
+            let (cell, chars) = cell_text(v, &text[start..]);
             *w = (*w).max(cell.len());
-            multibyte += cell.len() - cell.chars().count();
+            multibyte += cell.len() - chars;
             ends.push(text.len());
         }
     }
@@ -76,7 +77,7 @@ pub fn render_table(view: &Derived) -> String {
     let spaces = " ".repeat(widths.iter().copied().max().unwrap_or(0));
 
     for (c, &w) in view.visible.iter().zip(&widths) {
-        push_cell(&mut out, c, w, &spaces);
+        push_cell(&mut out, c, c.chars().count(), w, &spaces);
     }
     out.push_str("|\n");
     let mut rule = String::with_capacity(line_len);
@@ -98,12 +99,8 @@ pub fn render_table(view: &Derived) -> String {
             let mut start = first.checked_sub(1).map_or(0, |p| ends[p]);
             let cells = ends[first..first + ncols].iter().zip(&widths).zip(&idx);
             for ((&end, &w), &i) in cells {
-                push_cell(
-                    &mut out,
-                    cell_text(row.get(i), &text[start..end]),
-                    w,
-                    &spaces,
-                );
+                let (cell, chars) = cell_text(row.get(i), &text[start..end]);
+                push_cell(&mut out, cell, chars, w, &spaces);
                 start = end;
             }
             out.push_str("|\n");
@@ -112,21 +109,25 @@ pub fn render_table(view: &Derived) -> String {
     out
 }
 
-/// A cell's text: an interned string is read in place (it already is a
-/// `&'static str`), any other value from its `formatted` run.
-fn cell_text<'a>(v: &Value, formatted: &'a str) -> &'a str {
+/// A cell's text and its length in chars: an interned string is read in
+/// place (it already is a `&'static str`) and its chars counted; any other
+/// value is its `formatted` run, which is ASCII, so its chars are its bytes.
+fn cell_text<'a>(v: &Value, formatted: &'a str) -> (&'a str, usize) {
     match v {
-        Value::Str(s) => s.as_str(),
-        _ => formatted,
+        Value::Str(s) => {
+            let s = s.as_str();
+            (s, s.chars().count())
+        }
+        _ => (formatted, formatted.len()),
     }
 }
 
-/// `| cell<pad> ` — the cell left-aligned in a column `width` bytes wide,
-/// padded by chars as `{:width$}` does.
-fn push_cell(out: &mut String, cell: &str, width: usize, spaces: &str) {
+/// `| cell<pad> ` — the cell (`chars` chars long) left-aligned in a column
+/// `width` bytes wide, padded by chars as `{:width$}` does.
+fn push_cell(out: &mut String, cell: &str, chars: usize, width: usize, spaces: &str) {
     out.push_str("| ");
     out.push_str(cell);
-    out.push_str(&spaces[..width - cell.chars().count()]);
+    out.push_str(&spaces[..width - chars]);
     out.push(' ');
 }
 
@@ -211,17 +212,76 @@ fn visible_indices(view: &Derived) -> Vec<usize> {
 
 /// Append a value the way the paper's tables show it: NULL as empty,
 /// floats with a fraction rounded to two places, everything else as its
-/// `Display` form.
+/// `Display` form. Ints, integral floats and most fractions are written
+/// digit by digit (DESIGN.md §18); the rest go through `core::fmt`. Every
+/// form but a string is ASCII.
 fn push_value(out: &mut String, v: &Value) {
-    // Writing into a `String` cannot fail.
-    let _ = match v {
-        Value::Float(f) if f.fract().abs() > 1e-9 => write!(out, "{f:.2}"),
-        Value::Str(s) => {
-            out.push_str(s.as_str());
-            Ok(())
+    match *v {
+        Value::Null => {}
+        Value::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+        Value::Int(i) => push_digits(out, i < 0, i.unsigned_abs()),
+        Value::Float(f) if f.fract().abs() > 1e-9 => push_cents(out, f),
+        // `Display` prints these as `{:.1}`: the digits and `.0`. Below
+        // 1e15 the value is an exact integer that fits a `u64`.
+        Value::Float(f) if f.fract() == 0.0 && f.abs() < 1e15 => {
+            push_digits(out, f.is_sign_negative(), f.abs() as u64);
+            out.push_str(".0");
         }
-        other => write!(out, "{other}"),
-    };
+        Value::Str(s) => out.push_str(s.as_str()),
+        other => {
+            // Writing into a `String` cannot fail.
+            let _ = write!(out, "{other}");
+        }
+    }
+}
+
+/// Append `n` in decimal, after a `-` when `negative`.
+fn push_digits(out: &mut String, negative: bool, mut n: u64) {
+    let mut buf = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if negative {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
+}
+
+/// Magnitudes below this take the fast `{:.2}` path: `|f| * 100` is then
+/// below 2^44, so the rounded product is within 2^-10 of the exact one.
+const CENTS_FAST_BELOW: f64 = 1e11;
+
+/// How far (> 2^-10) the rounded product must be from a `.5` tie for its
+/// nearest integer to be the exact product's.
+const CENTS_TIE_MARGIN: f64 = 1e-3;
+
+/// Append `f` as `{:.2}` does: the exact value rounded to the nearest
+/// hundredth. The rounded product `f * 100` decides when it provably
+/// agrees with the exact one (DESIGN.md §18); near a tie, or for a large
+/// `f`, `core::fmt` does.
+fn push_cents(out: &mut String, f: f64) {
+    let abs = f.abs();
+    if abs < CENTS_FAST_BELOW {
+        let scaled = abs * 100.0;
+        let whole = scaled.floor();
+        let frac = scaled - whole;
+        if (frac - 0.5).abs() > CENTS_TIE_MARGIN {
+            let cents = whole as u64 + u64::from(frac > 0.5);
+            push_digits(out, f.is_sign_negative(), cents / 100);
+            let cents = (cents % 100) as u8;
+            out.push('.');
+            out.push(char::from(b'0' + cents / 10));
+            out.push(char::from(b'0' + cents % 10));
+            return;
+        }
+    }
+    let _ = write!(out, "{f:.2}");
 }
 
 #[cfg(test)]
@@ -307,7 +367,91 @@ mod tests {
         assert_eq!(cell(&Value::Float(1e15)), "1000000000000000");
         assert_eq!(cell(&Value::Float(f64::NAN)), "NaN");
         assert_eq!(cell(&Value::Float(f64::NEG_INFINITY)), "-inf");
+        assert_eq!(cell(&Value::Float(-0.001)), "-0.00");
+        assert_eq!(cell(&Value::Float(-0.0)), "-0.0");
+        assert_eq!(cell(&Value::Float(0.125)), "0.12");
+        assert_eq!(cell(&Value::Float(0.375)), "0.38");
+        assert_eq!(cell(&Value::Int(i64::MIN)), "-9223372036854775808");
         assert_eq!(cell(&"ünï".into()), "ünï");
+    }
+
+    /// Floats the fast paths must get exactly right or hand to
+    /// `core::fmt`: exact `.5` ties, decimal ties that are not exact in
+    /// binary, both sides of the fast-path bound and of the 1e-9
+    /// fraction cut, the 1e15 `Display` switch, zeros and non-finites.
+    const EDGE_FLOATS: [f64; 26] = [
+        0.125,
+        0.375,
+        2.675,
+        1.005,
+        0.005,
+        0.015,
+        1234.565,
+        99_999_999_999.995,
+        CENTS_FAST_BELOW,
+        CENTS_FAST_BELOW - 0.125,
+        CENTS_FAST_BELOW + 0.125,
+        CENTS_FAST_BELOW - 0.015,
+        1e-9,
+        1e-9 + 1e-12,
+        1.0 + 1e-9,
+        1.0 + 2e-9,
+        1e15 - 1.0,
+        1e15,
+        1e15 + 1.0,
+        1e15 - 0.5,
+        0.0,
+        -0.0,
+        f64::MAX,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+
+    /// `push_value` against the plain `core::fmt` forms of
+    /// `reference::format_value` on ~1.2M seeded values.
+    #[test]
+    fn push_value_matches_core_fmt_on_seeded_values() {
+        let mut out = String::new();
+        let mut check = |v: Value| {
+            out.clear();
+            push_value(&mut out, &v);
+            assert_eq!(out, reference::format_value(&v), "{v:?}");
+        };
+        for f in EDGE_FLOATS {
+            check(Value::Float(f));
+            check(Value::Float(-f));
+            check(Value::Float(f64::from_bits(f.to_bits() + 1)));
+            check(Value::Float(f64::from_bits(f.to_bits().saturating_sub(1))));
+        }
+        for i in [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX] {
+            check(Value::Int(i));
+        }
+        let mut rng = Rng::seed_from_u64(0xF0_27A7);
+        for _ in 0..150_000 {
+            let bits = rng.next_u64();
+            check(Value::Int(bits as i64));
+            check(Value::Float(f64::from_bits(bits)));
+            // Cents grids and their midpoints (x.xx5), at every scale
+            // the fast path takes.
+            let cents = rng.gen_range(-10_000_000_000_000..10_000_000_000_000i64);
+            let cents = cents >> rng.gen_range(0..44u32);
+            check(Value::Float(cents as f64 / 100.0));
+            check(Value::Float((cents as f64 * 10.0 + 5.0) / 1000.0));
+            // Exact binary ties: an odd multiple of 1/8 is an exact .5 in
+            // hundredths.
+            let eighths = rng.gen_range(-1_000_000_000..1_000_000_000i64) | 1;
+            check(Value::Float(eighths as f64 / 8.0));
+            // Around the fast-path bound.
+            let near = CENTS_FAST_BELOW + rng.gen_range(-1000.0..1000.0f64);
+            check(Value::Float(near));
+            // Fractions straddling the 1e-9 cut, and integral floats on
+            // both sides of 1e15.
+            let whole = rng.gen_range(-1_000_000..1_000_000i64) as f64;
+            check(Value::Float(whole + rng.gen_range(-2e-9..2e-9f64)));
+            let big = 1e15 + rng.gen_range(-1000..1000i64) as f64;
+            check(Value::Float(big.copysign(whole)));
+        }
     }
 
     #[test]
@@ -426,8 +570,9 @@ mod tests {
     }
 
     /// A random cell drawn to hit every formatting rule: NULL, booleans,
-    /// signed ints, floats with and without a visible fraction, huge and
-    /// non-finite floats, and ASCII, empty and multi-byte strings.
+    /// signed ints, floats with and without a visible fraction, rounding
+    /// ties, the fast-path bound, huge and non-finite floats, and ASCII,
+    /// empty and multi-byte strings.
     fn random_value(rng: &mut Rng) -> Value {
         const STRS: [&str; 8] = [
             "Jetta",
@@ -439,24 +584,14 @@ mod tests {
             "Golf",
             "é",
         ];
-        const FLOATS: [f64; 10] = [
-            0.5,
-            -2.25,
-            7.0,
-            -0.0,
-            1.0 + 1e-10,
-            1e15,
-            -3.5e17,
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-        ];
-        match rng.gen_range(0..7u32) {
+        const FLOATS: [f64; 7] = [0.5, -2.25, 7.0, 1.0 + 1e-10, 1e15, -3.5e17, -0.001];
+        match rng.gen_range(0..8u32) {
             0 => Value::Null,
             1 => Value::Bool(rng.gen_bool(0.5)),
             2 => Value::Int(rng.gen_range(-100_000..100_000i64)),
             3 => Value::Float(*rng.pick(&FLOATS)),
             4 => Value::Float(rng.gen_range(-1e4..1e4f64)),
+            5 => Value::Float(*rng.pick(&EDGE_FLOATS)),
             _ => (*rng.pick(&STRS)).into(),
         }
     }

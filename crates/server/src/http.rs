@@ -2,7 +2,13 @@
 //! hyper, no tokio). Just enough of RFC 7230 for the wire protocol in
 //! DESIGN.md §15: request line, headers, `Content-Length` bodies,
 //! `Expect: 100-continue`, keep-alive, and a bounded
-//! thread-per-connection pool fed by an accept loop.
+//! thread-per-connection pool fed by an accept loop. A request with a
+//! `Transfer-Encoding` body is refused with 501, and one whose head
+//! passes `MAX_HEAD` with 431; either way the connection closes.
+//!
+//! Accepted sockets run with `TCP_NODELAY`: replies are assembled in a
+//! `BufWriter`, so Nagle's algorithm only ever delayed the tail of a
+//! reply too large for that buffer — by the peer's delayed ACK, ~40 ms.
 //!
 //! The accept loop carries the `server.accept` failpoint: an injected
 //! accept failure drops that one connection attempt and keeps serving —
@@ -22,13 +28,17 @@ use crate::api;
 use crate::host::ServerState;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Largest request body accepted (64 MiB): bounds memory per connection.
 const MAX_BODY: usize = 64 << 20;
+
+/// Largest request head accepted (64 KiB): the request line plus every
+/// header line, line endings included.
+const MAX_HEAD: usize = 64 << 10;
 
 /// One parsed HTTP request.
 #[derive(Debug)]
@@ -94,7 +104,9 @@ impl Response {
             405 => "Method Not Allowed",
             409 => "Conflict",
             413 => "Payload Too Large",
+            431 => "Request Header Fields Too Large",
             500 => "Internal Server Error",
+            501 => "Not Implemented",
             503 => "Service Unavailable",
             _ => "Unknown",
         }
@@ -161,13 +173,35 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
-fn bad_request(msg: String) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+/// Why no request came off the connection.
+enum ReadError {
+    /// The socket failed or timed out, or the client hung up mid-request.
+    Io(std::io::Error),
+    /// The request is refused, unrouted, with this status and reply body.
+    Refused(u16, String),
 }
 
-/// Read one line, keeping what was read across read timeouts. Only a
-/// timeout before the first byte of a request (`started == false`, `buf`
-/// still empty) is an idle keep-alive gap and reaches the caller; once a
+impl From<std::io::Error> for ReadError {
+    fn from(e: std::io::Error) -> Self {
+        ReadError::Io(e)
+    }
+}
+
+fn bad_request(msg: String) -> ReadError {
+    ReadError::Refused(400, format!("bad request: {msg}\n"))
+}
+
+fn head_too_large() -> ReadError {
+    ReadError::Refused(
+        431,
+        format!("request head larger than {} KiB\n", MAX_HEAD >> 10),
+    )
+}
+
+/// Read one line of at most `*budget` bytes and take its length off the
+/// budget, keeping what was read across read timeouts. Only a timeout
+/// before the first byte of a request (`started == false`, `buf` still
+/// empty) is an idle keep-alive gap and reaches the caller; once a
 /// request has begun, a timeout just means the client is slow, so the
 /// read resumes unless the server is stopping. Returns the line without
 /// its line ending, or `None` at end of stream.
@@ -175,18 +209,31 @@ fn read_line(
     reader: &mut BufReader<TcpStream>,
     started: bool,
     stop: &AtomicBool,
-) -> std::io::Result<Option<String>> {
+    budget: &mut usize,
+) -> Result<Option<String>, ReadError> {
     let mut buf = Vec::new();
     loop {
-        match reader.read_until(b'\n', &mut buf) {
+        let room = *budget - buf.len();
+        if room == 0 {
+            return Err(head_too_large());
+        }
+        match reader
+            .by_ref()
+            .take(room as u64)
+            .read_until(b'\n', &mut buf)
+        {
             Ok(_) => break,
             Err(e)
                 if is_timeout(&e)
                     && (started || !buf.is_empty())
                     && !stop.load(Ordering::SeqCst) => {}
-            Err(e) => return Err(e),
+            Err(e) => return Err(e.into()),
         }
     }
+    if buf.len() == *budget && buf.last() != Some(&b'\n') {
+        return Err(head_too_large());
+    }
+    *budget -= buf.len();
     if buf.is_empty() {
         return Ok(None);
     }
@@ -198,13 +245,16 @@ fn read_line(
 /// closed the connection cleanly between requests (keep-alive end); a
 /// timeout error means no request has started yet. A client that sent
 /// `Expect: 100-continue` is told to go ahead (on `writer`) before the
-/// body is read.
+/// body is read. A body framed by `Transfer-Encoding` is refused before
+/// any of it is read: its framing would otherwise be read as the next
+/// request.
 fn read_request(
     reader: &mut BufReader<TcpStream>,
     writer: &mut impl Write,
     stop: &AtomicBool,
-) -> std::io::Result<Option<Request>> {
-    let Some(line) = read_line(reader, false, stop)? else {
+) -> Result<Option<Request>, ReadError> {
+    let mut budget = MAX_HEAD;
+    let Some(line) = read_line(reader, false, stop, &mut budget)? else {
         return Ok(None);
     };
     let mut parts = line.split_whitespace();
@@ -215,8 +265,9 @@ fn read_request(
     let mut content_length = 0usize;
     let mut keep_alive = true; // HTTP/1.1 default
     let mut expect_continue = false;
+    let mut transfer_encoding = false;
     loop {
-        let Some(header) = read_line(reader, true, stop)? else {
+        let Some(header) = read_line(reader, true, stop, &mut budget)? else {
             return Ok(None);
         };
         if header.is_empty() {
@@ -232,8 +283,16 @@ fn read_request(
                 keep_alive = !value.eq_ignore_ascii_case("close");
             } else if name.eq_ignore_ascii_case("expect") {
                 expect_continue = value.eq_ignore_ascii_case("100-continue");
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                transfer_encoding = true;
             }
         }
+    }
+    if transfer_encoding {
+        return Err(ReadError::Refused(
+            501,
+            "Transfer-Encoding is not supported; send a Content-Length body\n".into(),
+        ));
     }
     if content_length > MAX_BODY {
         return Err(bad_request("request body too large".into()));
@@ -246,11 +305,11 @@ fn read_request(
     let mut filled = 0;
     while filled < body.len() {
         match reader.read(&mut body[filled..]) {
-            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Ok(0) => return Err(ReadError::Io(std::io::ErrorKind::UnexpectedEof.into())),
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) if is_timeout(&e) && !stop.load(Ordering::SeqCst) => {}
-            Err(e) => return Err(e),
+            Err(e) => return Err(e.into()),
         }
     }
     let (path, query) = match target.split_once('?') {
@@ -273,6 +332,9 @@ fn read_request(
 /// timeout only polls the flag; the partial request is kept.
 fn serve_connection(stream: TcpStream, state: &ServerState, stop: &AtomicBool) {
     let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
+    // Without it, the last segment of a reply larger than the `BufWriter`
+    // waits for the ACK of the one before (DESIGN.md §15).
+    let _ = stream.set_nodelay(true);
     let Ok(writer) = stream.try_clone() else {
         return;
     };
@@ -293,7 +355,7 @@ fn serve_connection(stream: TcpStream, state: &ServerState, stop: &AtomicBool) {
                 }
             }
             Ok(None) => return,
-            Err(e) if is_timeout(&e) => {
+            Err(ReadError::Io(e)) if is_timeout(&e) => {
                 // Idle between keep-alive requests (or stopping mid-
                 // request): wait more unless the server is shutting down.
                 if stop.load(Ordering::SeqCst) {
@@ -301,12 +363,39 @@ fn serve_connection(stream: TcpStream, state: &ServerState, stop: &AtomicBool) {
                 }
             }
             Err(e) => {
-                // Best-effort 400 for a malformed request, then close.
-                let resp = Response::text(400, format!("bad request: {e}\n"));
-                let _ = resp.write_to(&mut writer, false);
+                // Best-effort refusal of a malformed or unsupported
+                // request, then close.
+                let (status, body) = match e {
+                    ReadError::Io(e) => (400, format!("bad request: {e}\n")),
+                    ReadError::Refused(status, body) => (status, body),
+                };
+                let _ = Response::text(status, body).write_to(&mut writer, false);
                 let _ = writer.flush();
+                linger_close(writer.get_ref(), &mut reader);
                 return;
             }
+        }
+    }
+}
+
+/// Longest a refused connection is drained before it is dropped.
+const LINGER: std::time::Duration = std::time::Duration::from_secs(1);
+
+/// Close after a refusal without losing the reply: send FIN, then read
+/// and discard what the client is still sending, for at most `LINGER`,
+/// until it hangs up or pauses past the read timeout. Dropping a socket
+/// with unread input resets the connection, and the reset can destroy
+/// the reply before the client reads it.
+fn linger_close(stream: &TcpStream, reader: &mut BufReader<TcpStream>) {
+    if stream.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let deadline = std::time::Instant::now() + LINGER;
+    let mut sink = [0u8; 8192];
+    while std::time::Instant::now() < deadline {
+        match reader.read(&mut sink) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
         }
     }
 }

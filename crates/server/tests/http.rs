@@ -47,14 +47,16 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> (u16, String) {
     (status, String::from_utf8(body).expect("utf-8 body"))
 }
 
+/// Send a request in one write: `write!` straight onto the socket would
+/// send each formatted piece as its own segment, and the client's own
+/// Nagle stall would then show up in the timings.
 fn send_request(stream: &mut TcpStream, method: &str, path: &str, body: &str, close: bool) {
-    write!(
-        stream,
+    let request = format!(
         "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{body}",
         body.len(),
         if close { "close" } else { "keep-alive" },
-    )
-    .expect("write request");
+    );
+    stream.write_all(request.as_bytes()).expect("write request");
 }
 
 /// One-shot request on a fresh connection.
@@ -345,5 +347,115 @@ fn request_paused_past_read_timeout_is_not_split() {
     let (status, body) = read_response(&mut reader);
     assert_eq!(status, 200, "follow-up: {body}");
     assert!(body.contains("\"rows\": 4"), "follow-up body: {body}");
+    handle.shutdown();
+}
+
+/// Read everything left on a connection the server should have closed;
+/// a server that keeps it open fails the test on the read timeout.
+fn read_rest(reader: &mut BufReader<TcpStream>) -> String {
+    let mut rest = Vec::new();
+    reader
+        .read_to_end(&mut rest)
+        .expect("server closes the connection");
+    String::from_utf8_lossy(&rest).into_owned()
+}
+
+fn connect_with_timeout(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("set client read timeout");
+    let writer = stream.try_clone().expect("clone stream");
+    (writer, BufReader::new(stream))
+}
+
+/// A chunked body is not read as an empty `Content-Length` body followed
+/// by its chunk lines as further requests: the request is refused with
+/// one 501, unrouted, and the connection closes.
+#[test]
+fn transfer_encoding_body_is_refused_once_and_closed() {
+    let (_state, handle) = boot();
+    let addr = handle.addr();
+    let (mut writer, mut reader) = connect_with_timeout(addr);
+    let chunk = "Id,Name\n1,a\n";
+    write!(
+        writer,
+        "PUT /sheets/t HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\n\
+         Connection: keep-alive\r\n\r\n{:x}\r\n{chunk}\r\n0\r\n\r\n",
+        chunk.len()
+    )
+    .expect("write chunked request");
+
+    let (status, body) = read_response(&mut reader);
+    assert_eq!(status, 501, "chunked upload: {body}");
+    assert_eq!(
+        read_rest(&mut reader),
+        "",
+        "a second reply followed the 501"
+    );
+    let (status, _) = request(addr, "GET", "/sheets/t", "");
+    assert_eq!(status, 404, "the refused request must not be routed");
+    handle.shutdown();
+}
+
+/// The request head is bounded: a 1 MiB header line is refused with 431
+/// instead of being buffered whole, and the connection closes.
+#[test]
+fn oversized_request_head_is_refused() {
+    let (_state, handle) = boot();
+    let (mut writer, mut reader) = connect_with_timeout(handle.addr());
+    // The server stops reading partway, so send from another thread: a
+    // blocked or reset write must not hang the test or mask the reply.
+    let sender = std::thread::spawn(move || {
+        let mut head = b"GET /health HTTP/1.1\r\nHost: test\r\nX-Big: ".to_vec();
+        head.resize(head.len() + (1 << 20), b'a');
+        head.extend_from_slice(b"\r\n\r\n");
+        let _ = writer.write_all(&head);
+    });
+    let (status, body) = read_response(&mut reader);
+    assert_eq!(status, 431, "oversized head: {body}");
+    assert_eq!(read_rest(&mut reader), "", "connection must close");
+    sender.join().expect("sender thread");
+    handle.shutdown();
+}
+
+/// A `/view` reply too large for the server's 8 KiB write buffer but
+/// smaller than one loopback segment (~64 KiB) left in two writes; with
+/// Nagle's algorithm on, the second waited for the client's delayed ACK
+/// of the first, ~40 ms per view. Nine keep-alive views of a ~28 KB
+/// sheet must each take far less.
+#[test]
+fn mid_size_views_do_not_stall_on_nagle() {
+    let (_state, handle) = boot();
+    let addr = handle.addr();
+    let mut csv = String::from("Id,Name,Price\n");
+    for i in 0..1000 {
+        csv.push_str(&format!("{i},item_{},{}.{:02}\n", i % 37, i * 7, i % 100));
+    }
+    let (status, body) = request(addr, "PUT", "/sheets/items", &csv);
+    assert_eq!(status, 201, "create: {body}");
+    let (status, body) = request(addr, "POST", "/sessions?sheet=items", "");
+    assert_eq!(status, 201, "session: {body}");
+
+    let (mut writer, mut reader) = connect_with_timeout(addr);
+    let mut times = Vec::new();
+    for i in 0..9 {
+        let start = std::time::Instant::now();
+        send_request(&mut writer, "GET", "/sessions/1/view", "", false);
+        let (status, view) = read_response(&mut reader);
+        times.push(start.elapsed());
+        assert_eq!(status, 200, "view {i}");
+        assert!(
+            (8 << 10..64 << 10).contains(&view.len()),
+            "view {i} is {} bytes, outside the stall window",
+            view.len()
+        );
+    }
+    times.sort();
+    let median = times[times.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(15),
+        "median keep-alive view took {median:?} (all: {times:?})"
+    );
     handle.shutdown();
 }

@@ -224,6 +224,35 @@ req DELETE "/sessions/$id1" 200 >/dev/null
 req GET "/sessions/$id1/view" 404 >/dev/null
 req DELETE "/sessions/$id2" 200 >/dev/null
 
+echo "==> mid-size views are not held back by Nagle's algorithm"
+# A ~28 KB view is too big for the server's 8 KiB write buffer and
+# smaller than one loopback segment: with Nagle on, its tail waited
+# ~40 ms for the client's delayed ACK of the head, every time.
+awk 'BEGIN {
+    print "id,name,price"
+    for (i = 0; i < 1000; i++) printf "%d,item_%d,%d.%02d\n", i, i % 37, i * 7, i % 100
+}' >"$WORK_DIR/items.csv"
+req PUT /sheets/items 201 "$WORK_DIR/items.csv" >/dev/null
+idv="$(session_id "$(req POST '/sessions?sheet=items' 201)")"
+view_url="$BASE/sessions/$idv/view"
+# One curl invocation reuses its connection across the five URLs and
+# prints, per URL: status, body bytes, new connections, seconds.
+timings="$(curl -s -w '%{http_code} %{size_download} %{num_connects} %{time_total}\n' \
+    -o /dev/null "$view_url" -o /dev/null "$view_url" -o /dev/null "$view_url" \
+    -o /dev/null "$view_url" -o /dev/null "$view_url")"
+if ! printf '%s\n' "$timings" | awk '
+    $1 != 200 || $2 < 8192 || $2 >= 65536 { bad = 1 }
+    { n++; connects += $3; total += $4 }
+    END {
+        printf "==> 5 keep-alive views: %.1f ms total\n", total * 1000
+        exit (bad || n != 5 || connects != 1 || total > 0.150)
+    }'; then
+    echo "server_smoke: keep-alive views stalled or misbehaved (want 5 x 200, 8-64 KiB, one connection, <= 150 ms total):" >&2
+    printf '%s\n' "$timings" >&2
+    exit 1
+fi
+req DELETE "/sessions/$idv" 200 >/dev/null
+
 # --- Durability & replication (DESIGN.md §17) -------------------------
 # Two durable replicas of the same sheet diverge, exchange op-logs over
 # /sync, and converge bitwise; a SIGKILLed replica reopens its snapshot
