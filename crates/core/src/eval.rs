@@ -842,6 +842,33 @@ fn filter_rows(
 // Incremental entry points (delta-aware cache, DESIGN.md §10)
 // ---------------------------------------------------------------------
 
+/// Resolved `column OP literal` atoms: (column index, test, literal).
+type AtomTest = Vec<(usize, fn(std::cmp::Ordering) -> bool, Value)>;
+
+/// Columnar fast path of the incremental filters: a conjunction of
+/// `column OP literal` atoms — the shape every narrowing edit takes —
+/// tested on a row directly with `sql_cmp` semantics (NULL never passes),
+/// skipping compilation and the per-row expression walk. `None` for any
+/// other predicate, or when a column does not resolve (the compiled path
+/// then reports it). `col OP NULL` is never TRUE under `sql_cmp`, so a
+/// null literal makes the result `Some(None)`: no row passes, and the
+/// per-row test never checks literals.
+fn atom_test(schema: &Schema, predicate: &Expr) -> Option<Option<AtomTest>> {
+    let atoms: AtomTest = predicate
+        .as_column_cmp_conjunction()?
+        .into_iter()
+        .map(|(c, op, v)| schema.index_of(c).ok().map(|i| (i, op.test(), v)))
+        .collect::<Option<_>>()?;
+    Some((!atoms.iter().any(|(_, _, lit)| lit.is_null())).then_some(atoms))
+}
+
+fn atoms_pass(atoms: &AtomTest, t: &Tuple) -> bool {
+    atoms.iter().all(|(idx, test, lit)| {
+        let v = t.get(*idx);
+        !v.is_null() && test(v.cmp(lit))
+    })
+}
+
 /// Compile `predicate` against `rel`'s schema and return the ids of the
 /// rows satisfying it, in order — the incremental cache's
 /// single-predicate index filter over an already-materialized relation.
@@ -852,69 +879,69 @@ pub(crate) fn filter_relation(
     predicate: &Expr,
     threshold: usize,
 ) -> Result<Vec<u32>> {
-    let schema = rel.schema();
-    // Columnar fast path: a conjunction of `column OP literal` atoms —
-    // the shape every narrowing edit takes — tests values directly with
-    // `sql_cmp` semantics (NULL never passes), skipping compilation and
-    // the per-row expression walk.
-    if let Some(atoms) = predicate.as_column_cmp_conjunction() {
-        if let Ok(resolved) = atoms
-            .into_iter()
-            .map(|(c, op, v)| schema.index_of(c).map(|i| (i, op.test(), v)))
-            .collect::<ssa_relation::Result<Vec<_>>>()
-        {
-            // `col OP NULL` is never TRUE under `sql_cmp`, so a single
-            // null literal empties the result — and its absence lets the
-            // per-row test skip the literal check entirely.
-            if resolved.iter().any(|(_, _, lit)| lit.is_null()) {
-                return Ok(Vec::new());
-            }
-            let rows = rel.rows();
-            let pass = |t: &Tuple| {
-                resolved.iter().all(|(idx, test, lit)| {
-                    let v = t.get(*idx);
-                    !v.is_null() && test(v.cmp(lit))
-                })
-            };
-            let keep = |start: usize, end: usize| -> Vec<u32> {
-                rows.iter()
-                    .enumerate()
-                    .skip(start)
-                    .take(end - start)
-                    .filter(|(_, t)| pass(t))
-                    .map(|(i, _)| i as u32)
-                    .collect()
-            };
-            let workers = if rows.len() >= threshold {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .min(rows.len().max(1))
-            } else {
-                1
-            };
-            if workers > 1 {
-                let chunk = rows.len().div_ceil(workers);
-                let keep = &keep;
-                let parts: Vec<Vec<u32>> = std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|w| {
-                            let start = w * chunk;
-                            let end = ((w + 1) * chunk).min(rows.len());
-                            s.spawn(move || keep(start, end))
-                        })
-                        .collect();
-                    ssa_relation::par::join_all(handles)
-                })?;
-                return Ok(parts.concat());
-            }
-            return Ok(keep(0, rows.len()));
+    if let Some(atoms) = atom_test(rel.schema(), predicate) {
+        let Some(atoms) = atoms else {
+            return Ok(Vec::new());
+        };
+        let rows = rel.rows();
+        let keep = |start: usize, end: usize| -> Vec<u32> {
+            rows.iter()
+                .enumerate()
+                .skip(start)
+                .take(end - start)
+                .filter(|(_, t)| atoms_pass(&atoms, t))
+                .map(|(i, _)| i as u32)
+                .collect()
+        };
+        let workers = if rows.len() >= threshold {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .min(rows.len().max(1))
+        } else {
+            1
+        };
+        if workers > 1 {
+            let chunk = rows.len().div_ceil(workers);
+            let keep = &keep;
+            let parts: Vec<Vec<u32>> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| {
+                        let start = w * chunk;
+                        let end = ((w + 1) * chunk).min(rows.len());
+                        s.spawn(move || keep(start, end))
+                    })
+                    .collect();
+                ssa_relation::par::join_all(handles)
+            })?;
+            return Ok(parts.concat());
         }
-        // Unresolvable column: let the compiled path produce its error.
+        return Ok(keep(0, rows.len()));
     }
+    let schema = rel.schema();
     let compiled = CompiledExpr::compile(predicate, &mut |n| schema.index_of(n).ok())?;
     let live: Vec<u32> = (0..rel.len() as u32).collect();
     filter_rows(rel, &[], &[&compiled], &live, threshold)
+}
+
+/// The ids in `live` (ascending rows of `rel`) whose row satisfies
+/// `predicate`, in order — [`filter_relation`] over a subset, so rows a
+/// predicate rejects are never copied out of `rel`.
+pub(crate) fn filter_ids(rel: &Relation, predicate: &Expr, live: &[u32]) -> Result<Vec<u32>> {
+    let schema = rel.schema();
+    if let Some(atoms) = atom_test(schema, predicate) {
+        let Some(atoms) = atoms else {
+            return Ok(Vec::new());
+        };
+        let rows = rel.rows();
+        return Ok(live
+            .iter()
+            .copied()
+            .filter(|&i| atoms_pass(&atoms, &rows[i as usize]))
+            .collect());
+    }
+    let compiled = CompiledExpr::compile(predicate, &mut |n| schema.index_of(n).ok())?;
+    filter_rows(rel, &[], &[&compiled], live, usize::MAX)
 }
 
 /// Materialize one computed column over `rel`'s rows — the incremental

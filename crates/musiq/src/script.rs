@@ -412,6 +412,91 @@ mod tests {
         assert!(h.execute("setcell 0 Price").is_err());
     }
 
+    /// The last-delta line of `explain`.
+    fn last_delta(h: &mut ScriptHost) -> String {
+        let out = h.execute("explain").unwrap();
+        out.lines()
+            .find_map(|l| l.strip_prefix("last delta: "))
+            .unwrap_or_else(|| panic!("no last delta in:\n{out}"))
+            .to_string()
+    }
+
+    #[test]
+    fn undoing_an_aggregate_keeps_the_cache() {
+        let mut h = host();
+        h.run_script(
+            "load cars\n\
+             select Price < 20000\n\
+             agg avg Price\n\
+             undo",
+        )
+        .unwrap();
+        assert_eq!(last_delta(&mut h), "remove computed `Avg_Price`");
+        h.execute("show").unwrap();
+        assert!(h.execute("explain").unwrap().contains("failed patches: 0"));
+        h.execute("redo").unwrap();
+        assert_eq!(last_delta(&mut h), "append computed `Avg_Price`");
+    }
+
+    #[test]
+    fn undoing_several_aggregates_then_selecting_patches_both() {
+        // `undo 2` renders nothing, so the next gesture's view meets two
+        // removed aggregates and an added selection at once.
+        let mut h = host();
+        h.run_script(
+            "load cars\n\
+             select Price < 20000\n\
+             agg avg Price\n\
+             agg sum Mileage\n\
+             undo 2\n\
+             select Year >= 2005",
+        )
+        .unwrap();
+        assert_eq!(last_delta(&mut h), "narrow (1 predicate(s))");
+        h.execute("unselect 1").unwrap();
+        assert_eq!(last_delta(&mut h), "widen (selection #1 removed)");
+        assert!(h.execute("explain").unwrap().contains("failed patches: 0"));
+    }
+
+    #[test]
+    fn unselect_loosen_and_undone_select_take_the_widening_patch() {
+        let mut h = host();
+        h.run_script(
+            "load cars\n\
+             agg avg Price\n\
+             select Price < 16000",
+        )
+        .unwrap();
+        h.execute("modify 0 Price < 19000").unwrap();
+        assert_eq!(last_delta(&mut h), "widen (selection #0 replaced)");
+        h.execute("unselect 0").unwrap();
+        assert_eq!(last_delta(&mut h), "widen (selection #0 removed)");
+        h.execute("select Year >= 2005").unwrap();
+        h.execute("undo").unwrap();
+        assert_eq!(last_delta(&mut h), "widen (selection #1 removed)");
+        h.execute("show").unwrap();
+        assert!(h.execute("explain").unwrap().contains("failed patches: 0"));
+    }
+
+    #[test]
+    fn undoing_a_feed_still_evaluates_in_full_and_says_why() {
+        let mut h = host();
+        h.run_script(
+            "load cars\n\
+             select Price < 20000\n\
+             feed 999, 'Jetta', 15500, 2005, 60000, 'Good'\n\
+             undo",
+        )
+        .unwrap();
+        assert_eq!(
+            last_delta(&mut h),
+            "full (undo/redo restored a different base)"
+        );
+        let mut fresh = host();
+        fresh.run_script("load cars\nselect Price < 20000").unwrap();
+        assert_eq!(h.execute("show").unwrap(), fresh.execute("show").unwrap());
+    }
+
     #[test]
     fn explain_renders_current_plan() {
         let mut h = host();

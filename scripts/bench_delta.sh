@@ -20,8 +20,9 @@
 # BENCH_server.json (shared-snapshot read throughput/tails),
 # BENCH_persist.json (binary columnar save / cold-open speedups) and
 # BENCH_wal.json (durability tax of logged appends) today, anything a
-# future bench writes tomorrow. Plan, stream, server, persist and wal
-# additionally carry absolute floors — see below.
+# future bench writes tomorrow. Plan, stream, server, persist, wal and
+# the incremental bench's query-modification scenarios additionally
+# carry absolute floors — see below.
 #
 # By default only the speedup ratios are gated: they are means recorded
 # by the same run on the same machine, so they transfer across hosts,
@@ -111,6 +112,18 @@ WAL_SPEEDUP_FLOOR = 10.0
 WAL_OVERHEAD_CEILING = 2.0
 WAL_FLOOR_ROWS = 100_000
 
+# Query modification must not fall back to the full pipeline's cost
+# (DESIGN.md §10): widening a selection (loosening or removing it) must
+# keep >= 1.2x over full re-evaluation, and undoing an aggregate (undo
+# keeps the cache) >= 2x, at the full 100k-row size. The other
+# incremental scenarios are covered by the relative gate.
+INCREMENTAL_SPEEDUP_FLOORS = {
+    "loosen_selection": 1.2,
+    "remove_selection": 1.2,
+    "undo_aggregate": 2.0,
+}
+INCREMENTAL_FLOOR_ROWS = 100_000
+
 def floor_entries(path, fresh):
     """(section, entry, floor) triples whose speedup has an absolute
     floor on top of the relative gate."""
@@ -135,6 +148,11 @@ def floor_entries(path, fresh):
             if (entry.get("rows", 0) >= PERSIST_FLOOR_ROWS
                     and entry.get("scenario") == "cold_open_query_1col"):
                 yield "scenarios", entry, PERSIST_SPEEDUP_FLOOR
+    elif path == "BENCH_incremental.json":
+        for entry in fresh.get("edits", []):
+            floor = INCREMENTAL_SPEEDUP_FLOORS.get(entry.get("scenario"))
+            if floor is not None and entry.get("rows", 0) >= INCREMENTAL_FLOOR_ROWS:
+                yield "edits", entry, floor
     elif path == "BENCH_wal.json":
         for entry in fresh.get("appends", []):
             if (entry.get("rows", 0) >= WAL_FLOOR_ROWS

@@ -235,6 +235,7 @@ mod injected {
         "eval.gather",
         "delta.classify",
         "delta.narrow",
+        "delta.widen",
         "delta.append",
         "delta.remove",
         "delta.base_append",
@@ -445,6 +446,63 @@ mod injected {
             s.explain().unwrap().contains("incremental patch failed"),
             "explain must name the fallback"
         );
+    }
+
+    /// A failed widening patch rolls back to a full evaluation: the view
+    /// equals the naive oracle, and `explain` names the fallback, counts
+    /// the failed patch and quotes its error. The next widening of the
+    /// rebuilt cache has no set-aside rows to merge, and says so.
+    #[test]
+    fn failed_widen_patch_falls_back_and_counts_it() {
+        let _guard = fault::lock();
+        let mut s = Spreadsheet::over(used_cars());
+        s.group(&["Model"], Direction::Asc).unwrap();
+        s.aggregate(AggFunc::Avg, "Price", 2).unwrap();
+        s.view().unwrap();
+        let id = s.select(Expr::col("Price").lt(Expr::lit(15_000))).unwrap();
+        s.view().unwrap();
+        assert!(s.explain().unwrap().contains("failed patches: 0"));
+        let mut oracle = s.clone();
+        oracle.set_naive_eval(true);
+
+        let loosened = Expr::col("Price").lt(Expr::lit(18_000));
+        s.replace_selection(id, loosened.clone()).unwrap();
+        oracle.replace_selection(id, loosened).unwrap();
+        assert!(
+            matches!(s.last_delta(), StateDelta::Widen { .. }),
+            "the edit must classify as a widening, got {}",
+            s.last_delta()
+        );
+        fault::arm("delta.widen", 1, Behavior::Error);
+        let view = s.view().map(|v| v.clone());
+        fault::disarm("delta.widen");
+        let view = view.expect("view falls back to a full evaluation");
+        assert_eq!(
+            &view,
+            oracle.view().unwrap(),
+            "fallback diverged from the oracle"
+        );
+        assert_eq!(
+            s.last_delta(),
+            &StateDelta::Full {
+                reason: "incremental patch failed",
+            }
+        );
+        let explained = s.explain().unwrap();
+        assert!(
+            explained.contains("failed patches: 1 (last: fault injected at `delta.widen`)"),
+            "explain must count and quote the failed patch:\n{explained}"
+        );
+
+        s.remove_selection(id).unwrap();
+        oracle.remove_selection(id).unwrap();
+        assert_eq!(
+            s.last_delta(),
+            &StateDelta::Full {
+                reason: "the widened selection's set-aside rows are unknown",
+            }
+        );
+        assert_eq!(s.view().unwrap(), oracle.view().unwrap());
     }
 
     /// Satellite pin: a worker panic inside a parallel chunk surfaces as

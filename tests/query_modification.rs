@@ -170,3 +170,159 @@ fn modification_blocked_behind_binary_operator() {
     s.replace_selection(id2, Expr::col("Year").eq(Expr::lit(2006)))
         .unwrap();
 }
+
+/// Apply one history step through the recording engine (so it can be
+/// undone); `Some(id)` for a selection that took.
+fn apply_recorded(e: &mut Engine, op: &AlgebraOp) -> Option<u64> {
+    match op {
+        AlgebraOp::Select { predicate } => e.select(predicate.clone()).ok(),
+        AlgebraOp::Project { column } => e.project_out(column).ok().and(None),
+        AlgebraOp::Aggregate {
+            func,
+            column,
+            level,
+        } => e.aggregate(*func, column, *level).ok().and(None),
+        AlgebraOp::Dedup => e.dedup().ok().and(None),
+        AlgebraOp::Group { basis, order } => {
+            let refs: Vec<&str> = basis.iter().map(|s| s.as_str()).collect();
+            e.group(&refs, *order).ok().and(None)
+        }
+        AlgebraOp::Order {
+            attribute,
+            order,
+            level,
+        } => e.order(attribute, *order, *level).ok().and(None),
+        other => other.apply(e.sheet_mut()).ok().and(None),
+    }
+}
+
+/// The view of a warm, incrementally patched sheet must equal the naive
+/// engine's fresh evaluation of the same state; the self-audit is on, so
+/// a patch that diverges from the full pipeline fails inside `view`.
+fn assert_view_matches_naive(e: &mut Engine, context: &str) {
+    let naive = spreadsheet_algebra::EvalOptions {
+        naive: true,
+        ..spreadsheet_algebra::EvalOptions::default()
+    };
+    let reference = spreadsheet_algebra::evaluate_with(e.sheet().base(), e.sheet().state(), naive);
+    match (e.view().cloned(), reference) {
+        (Ok(a), Ok(b)) => assert_eq!(a, b, "{context}"),
+        (Err(_), Err(_)) => {}
+        (a, b) => panic!("{context}: patched {a:?} vs naive {b:?}"),
+    }
+    let explained = e.sheet().explain().unwrap();
+    assert!(
+        explained.contains("failed patches: 0"),
+        "{context}: a patch failed:\n{explained}"
+    );
+}
+
+/// Theorem 3 on a warm cache: every history step is viewed as it lands
+/// (so narrowings record the rows they set aside), then a retained
+/// selection is loosened, replaced by an incomparable predicate, or
+/// removed. The patched view must equal the replay with the edit at the
+/// original position, and the naive engine.
+#[test]
+fn theorem3_on_a_warm_cache_equals_replay() {
+    let mut widened = 0;
+    for case in 0..192u64 {
+        let mut rng = Rng::seed_from_u64(0x3D04 ^ case);
+        let steps = arb_steps(&mut rng, 1, 8);
+        let mut a = Engine::over(used_cars());
+        a.sheet_mut().set_audit(true);
+        a.view().unwrap();
+        let mut ids = Vec::new();
+        for op in &steps {
+            ids.push(apply_recorded(&mut a, op));
+            let _ = a.view();
+        }
+        let selections: Vec<(usize, u64)> = ids
+            .iter()
+            .enumerate()
+            .filter_map(|(i, id)| id.map(|id| (i, id)))
+            .collect();
+        if selections.is_empty() {
+            continue;
+        }
+        let (step_idx, sel_id) = selections[rng.gen_range(0..selections.len())];
+        let AlgebraOp::Select { predicate: old } = &steps[step_idx] else {
+            unreachable!("selection ids come from select steps");
+        };
+        let mut edited = steps.clone();
+        match rng.gen_range(0..3usize) {
+            0 => {
+                let looser = old.clone().or(arb_predicate(&mut rng));
+                a.replace_selection(sel_id, looser.clone()).unwrap();
+                edited[step_idx] = AlgebraOp::Select { predicate: looser };
+            }
+            1 => {
+                let other = arb_predicate(&mut rng);
+                a.replace_selection(sel_id, other.clone()).unwrap();
+                edited[step_idx] = AlgebraOp::Select { predicate: other };
+            }
+            _ => {
+                a.remove_selection(sel_id).unwrap();
+                edited.remove(step_idx);
+            }
+        }
+        widened += usize::from(matches!(
+            a.sheet().last_delta(),
+            spreadsheet_algebra::StateDelta::Widen { .. }
+        ));
+        let context = format!("case {case}");
+        assert_view_matches_naive(&mut a, &context);
+        let mut b = Spreadsheet::over(used_cars());
+        apply_history(&mut b, &edited);
+        assert_eq!(a.view().cloned(), b.evaluate_now(), "{context}: vs replay");
+    }
+    assert!(widened > 40, "the widening path ran only {widened} times");
+}
+
+/// Undo and redo of one or several steps on a warm cache: after each,
+/// the state is exactly the recorded one and the patched view equals
+/// the naive engine.
+#[test]
+fn undo_and_redo_on_a_warm_cache_match_the_recorded_states() {
+    for case in 0..128u64 {
+        let mut rng = Rng::seed_from_u64(0x3E05 ^ case);
+        let steps = arb_steps(&mut rng, 2, 10);
+        let mut e = Engine::over(used_cars());
+        e.sheet_mut().set_audit(true);
+        let mut states = vec![e.sheet().state().clone()];
+        e.view().unwrap();
+        for op in &steps {
+            let before = e.records().len();
+            apply_recorded(&mut e, op);
+            if e.records().len() > before {
+                states.push(e.sheet().state().clone());
+            }
+            let _ = e.view();
+        }
+        let mut at = states.len() - 1;
+        for round in 0..6 {
+            let context = format!("case {case}, round {round}");
+            if rng.gen_bool(0.6) && at > 0 {
+                let n = rng.gen_range(1..=at);
+                e.undo_steps(n).unwrap();
+                at -= n;
+            } else if at + 1 < states.len() {
+                let n = rng.gen_range(1..=states.len() - 1 - at);
+                e.redo_steps(n).unwrap();
+                at += n;
+            }
+            assert_eq!(e.sheet().state(), &states[at], "{context}: state");
+            assert!(
+                !matches!(
+                    e.sheet().last_delta(),
+                    spreadsheet_algebra::StateDelta::Full {
+                        reason: "undo/redo restored a different base"
+                    }
+                ),
+                "{context}: a state-only undo kept the base"
+            );
+            if rng.gen_bool(0.75) {
+                assert_view_matches_naive(&mut e, &context);
+            }
+        }
+    }
+}
