@@ -4,9 +4,8 @@
 //!
 //! Besides the usual console report, this bench writes `BENCH_eval.json`
 //! at the repository root: per size, the median evaluation time of the
-//! naive oracle, the index-vector engine (default parallel threshold),
-//! and the index-vector engine forced sequential — plus the resulting
-//! speedups. Run with `SSA_BENCH_FAST=1` for a smoke test (the JSON is
+//! naive oracle and of the index-vector engine, plus the resulting
+//! speedup. Run with `SSA_BENCH_FAST=1` for a smoke test (the JSON is
 //! then marked `"fast": true`).
 
 use spreadsheet_algebra::eval::{evaluate_with, EvalOptions};
@@ -76,7 +75,6 @@ struct Row {
     rows: usize,
     naive_ms: f64,
     indexed_ms: f64,
-    indexed_seq_ms: f64,
 }
 
 /// Median indexed-engine times of the string-heavy workload measured at
@@ -94,15 +92,8 @@ fn run_workload(
     sizes: &[usize],
     fast: bool,
 ) -> Vec<Row> {
-    let naive = EvalOptions {
-        naive: true,
-        ..EvalOptions::default()
-    };
+    let naive = EvalOptions { naive: true };
     let indexed = EvalOptions::default();
-    let sequential = EvalOptions {
-        parallel_threshold: usize::MAX,
-        ..EvalOptions::default()
-    };
 
     let mut results = Vec::new();
     for &n in sizes {
@@ -128,24 +119,17 @@ fn run_workload(
             target,
             samples,
         );
-        let s_seq = measure(
-            || black_box(evaluate_with(&base, st, sequential)),
-            target,
-            samples,
-        );
 
         let row = Row {
             rows: n,
             naive_ms: s_naive.median_ns / 1e6,
             indexed_ms: s_indexed.median_ns / 1e6,
-            indexed_seq_ms: s_seq.median_ns / 1e6,
         };
         println!(
-            "{name}/{:>6} rows  naive {:8.3} ms  indexed {:8.3} ms  (seq {:8.3} ms)  speedup {:4.2}x",
+            "{name}/{:>6} rows  naive {:8.3} ms  indexed {:8.3} ms  speedup {:4.2}x",
             row.rows,
             row.naive_ms,
             row.indexed_ms,
-            row.indexed_seq_ms,
             row.naive_ms / row.indexed_ms,
         );
         results.push(row);
@@ -157,13 +141,11 @@ fn sizes_json(results: &[Row]) -> String {
     let mut json = String::new();
     for (i, r) in results.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"rows\": {}, \"naive_ms\": {:.3}, \"indexed_ms\": {:.3}, \"indexed_seq_ms\": {:.3}, \"speedup\": {:.2}, \"speedup_sequential\": {:.2}}}{}\n",
+            "    {{\"rows\": {}, \"naive_ms\": {:.3}, \"indexed_ms\": {:.3}, \"speedup\": {:.2}}}{}\n",
             r.rows,
             r.naive_ms,
             r.indexed_ms,
-            r.indexed_seq_ms,
             r.naive_ms / r.indexed_ms,
-            r.naive_ms / r.indexed_seq_ms,
             if i + 1 < results.len() { "," } else { "" },
         ));
     }

@@ -3,9 +3,8 @@
 //! Measures the latency of one interactive edit — apply the operator,
 //! then `view()` — on a spreadsheet whose cache is already warm, in two
 //! modes: incremental (the delta-aware cache patches the cached
-//! canonical relation) and full (`set_incremental(false)` +
-//! `set_fast_reorganize(false)`, so every edit replays the whole
-//! pipeline). Six edit scenarios, matching DESIGN.md §10:
+//! canonical relation) and full (`set_incremental(false)`, so every
+//! edit replays the whole pipeline). Six edit scenarios, matching DESIGN.md §10:
 //!
 //! - `add_selection`: a fresh predicate lands on the sheet (Narrow).
 //! - `tighten_selection`: an existing predicate is replaced by a
@@ -178,7 +177,6 @@ fn run<S: Editable>(warm: &S, sel: u64, n: usize, sc: &Scenario<S>, samples: usi
     inc.sheet_mut().view().expect("prepared template evaluates");
     let mut full = inc.clone();
     full.sheet_mut().set_incremental(false);
-    full.sheet_mut().set_fast_reorganize(false);
     // The delta path must agree with a fresh full evaluation and with the
     // naive oracle before its timing means anything.
     let mut a = inc.clone();
@@ -187,10 +185,7 @@ fn run<S: Editable>(warm: &S, sel: u64, n: usize, sc: &Scenario<S>, samples: usi
     let naive = evaluate_with(
         a.base(),
         a.state(),
-        spreadsheet_algebra::EvalOptions {
-            naive: true,
-            ..spreadsheet_algebra::EvalOptions::default()
-        },
+        spreadsheet_algebra::EvalOptions { naive: true },
     )
     .expect("naive oracle");
     assert!(

@@ -18,7 +18,6 @@
 //! `SSA_BENCH_FAST=1` runs the 1k size only (JSON marked `"fast": true`).
 
 use ssa_relation::ops;
-use ssa_relation::par::DEFAULT_PARALLEL_THRESHOLD;
 use ssa_relation::schema::Schema;
 use ssa_relation::ValueType::Int;
 use ssa_relation::{Expr, Relation, Tuple, Value};
@@ -118,8 +117,7 @@ fn main() {
             // The hash plan must agree with the nested loop row-for-row
             // before its timing means anything.
             let hash = ops::join(&probe, &build, &cond).expect("hash join");
-            let nested = ops::join_nested(&probe, &build, &cond, DEFAULT_PARALLEL_THRESHOLD)
-                .expect("nested join");
+            let nested = ops::join_nested(&probe, &build, &cond).expect("nested join");
             assert_eq!(
                 hash.rows(),
                 nested.rows(),
@@ -128,10 +126,7 @@ fn main() {
             );
 
             let nested_ms = time_join(
-                || {
-                    ops::join_nested(&probe, &build, &cond, DEFAULT_PARALLEL_THRESHOLD)
-                        .expect("nested join")
-                },
+                || ops::join_nested(&probe, &build, &cond).expect("nested join"),
                 samples,
             );
             let hash_ms = time_join(

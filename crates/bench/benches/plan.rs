@@ -25,7 +25,6 @@
 
 use spreadsheet_algebra::plan::plan_tables;
 use ssa_relation::ops;
-use ssa_relation::par::DEFAULT_PARALLEL_THRESHOLD;
 use ssa_relation::{Expr, Relation};
 use ssa_tpch::gen::{generate, GenConfig};
 use std::hint::black_box;
@@ -109,7 +108,7 @@ fn unplanned(inputs: &[&Relation], condition: &Expr) -> Relation {
                 .iter()
                 .all(|c| cur.schema().contains(c) || rhs.schema().contains(c))
         });
-        cur = ops::join_opts(&cur, rhs, &cond, DEFAULT_PARALLEL_THRESHOLD).expect("join");
+        cur = ops::join(&cur, rhs, &cond).expect("join");
     }
     match Expr::conjoin(filters) {
         Some(f) => ops::select(&cur, &f).expect("filter"),
@@ -120,7 +119,7 @@ fn unplanned(inputs: &[&Relation], condition: &Expr) -> Relation {
 fn planned(inputs: &[&Relation], condition: &Expr) -> Relation {
     plan_tables(inputs, Some(condition))
         .expect("plan")
-        .execute(DEFAULT_PARALLEL_THRESHOLD)
+        .execute()
         .expect("execute")
 }
 

@@ -3,7 +3,8 @@
 //! content" (Sec. III-A), so the engine re-sorts the cached evaluation
 //! instead of re-running the canonical pipeline. This bench measures an
 //! ordering change on a sheet with selections + an aggregate, with the
-//! fast path on vs off.
+//! fast path on vs off (`set_incremental`, the engine's one ablation
+//! switch for every cache path short of a full evaluation).
 
 use spreadsheet_algebra::{Direction, Spreadsheet};
 use ssa_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -13,7 +14,7 @@ use std::hint::black_box;
 
 fn prepared(n: usize, fast: bool) -> Spreadsheet {
     let mut s = Spreadsheet::over(synthetic_cars(n));
-    s.set_fast_reorganize(fast);
+    s.set_incremental(fast);
     s.select(Expr::col("Price").lt(Expr::lit(24_000))).unwrap();
     s.group(&["Model"], Direction::Asc).unwrap();
     s.aggregate(AggFunc::Avg, "Price", 2).unwrap();

@@ -162,7 +162,6 @@ fn main() {
         let (warm, mut feed) = template(n);
         let mut full = warm.clone();
         full.set_incremental(false);
-        full.set_fast_reorganize(false);
 
         for sc in SCENARIOS {
             let rows = feed.batch(sc.events);
@@ -175,10 +174,7 @@ fn main() {
             let naive = evaluate_with(
                 a.base(),
                 a.state(),
-                spreadsheet_algebra::EvalOptions {
-                    naive: true,
-                    ..spreadsheet_algebra::EvalOptions::default()
-                },
+                spreadsheet_algebra::EvalOptions { naive: true },
             )
             .expect("naive oracle");
             assert_eq!(

@@ -126,7 +126,6 @@ fn time_full(n: usize, samples: usize) -> f64 {
     s.select(Expr::col("o_totalprice").lt(Expr::lit(179_000.0)))
         .expect("select");
     s.set_incremental(false);
-    s.set_fast_reorganize(false);
     s.view().expect("full template evaluates");
     let mut times = Vec::with_capacity(samples);
     for i in 0..samples + 2 {

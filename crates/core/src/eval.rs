@@ -31,10 +31,11 @@
 //!   plus one columnar `Vec<Value>` buffer per computed column.
 //!   Selections and formulas run over [`CompiledExpr`]s that read
 //!   borrowed `&Value`s straight from the base tuples and buffers; a
-//!   [`Relation`] is materialized exactly once, at the end. Above
-//!   [`EvalOptions::parallel_threshold`] live rows, selection, formula
-//!   and aggregation work is chunked across `std::thread::scope`
-//!   workers.
+//!   [`Relation`] is materialized exactly once, at the end. From
+//!   [`PARALLEL_THRESHOLD`] live rows on, the selection, formula,
+//!   aggregate and row-gather passes are chunked across threads by
+//!   [`chunk_map`], the workspace's one parallel primitive; sorting and
+//!   everything else stay sequential.
 //! * the **naive engine** ([`EvalOptions::naive`]): the original
 //!   row-cloning implementation — each step clones and rewrites whole
 //!   relations. It is kept as the differential-testing oracle and the
@@ -136,32 +137,12 @@ impl Derived {
     }
 }
 
-/// Default live-row count above which the index-vector engine chunks
-/// selection/formula/aggregation work across `std::thread::scope`
-/// workers. Below it the per-thread setup costs more than it saves.
-/// Shared with the relational operators (the hash join keys its build
-/// partitioning and probe chunking off the same option).
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = ssa_relation::par::DEFAULT_PARALLEL_THRESHOLD;
-
-/// Evaluation engine knobs. [`Default`] is the index-vector engine with
-/// the standard parallel threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Evaluation engine selection. [`Default`] is the index-vector engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalOptions {
     /// Use the original row-cloning pipeline (differential-test oracle,
     /// bench baseline).
     pub naive: bool,
-    /// Live-row count at which the index-vector engine goes parallel.
-    /// `usize::MAX` forces sequential evaluation.
-    pub parallel_threshold: usize,
-}
-
-impl Default for EvalOptions {
-    fn default() -> EvalOptions {
-        EvalOptions {
-            naive: false,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
-        }
-    }
 }
 
 /// Evaluate `state` over `base` with the default engine.
@@ -177,8 +158,7 @@ pub fn evaluate_with(base: &Relation, state: &QueryState, opts: EvalOptions) -> 
     } else {
         // No caller for the canonical relation → skip its row gather
         // entirely (the presentation-ordered data is built directly).
-        evaluate_indexed(base, state, &plan, opts.parallel_threshold, false)
-            .map(|(derived, _)| derived)
+        evaluate_indexed(base, state, &plan, false).map(|(derived, _)| derived)
     }
 }
 
@@ -203,8 +183,7 @@ pub(crate) fn evaluate_full_with(
         let (derived, canonical) = evaluate_full_naive(base, state, &plan)?;
         Ok((derived, canonical, None))
     } else {
-        let (derived, canonical) =
-            evaluate_indexed(base, state, &plan, opts.parallel_threshold, true)?;
+        let (derived, canonical) = evaluate_indexed(base, state, &plan, true)?;
         debug_assert!(canonical.is_some(), "canonical requested");
         let (canonical, perm, base_ids) = canonical.ok_or_else(|| SheetError::Internal {
             detail: "canonical relation requested but not produced".into(),
@@ -274,8 +253,8 @@ impl RowAccess for EngineRow<'_> {
 }
 
 // Chunked scoped-thread execution is shared with the relational
-// operators: one implementation, one ordering guarantee.
-use ssa_relation::par::chunk_map;
+// operators: one implementation, one threshold, one ordering guarantee.
+use ssa_relation::par::{chunk_map, PARALLEL_THRESHOLD};
 
 /// Canonical (rank-ordered) relation plus the presentation permutation
 /// mapping derived row `j` to canonical row `perm[j]` and the surviving
@@ -287,7 +266,6 @@ fn evaluate_indexed(
     base: &Relation,
     state: &QueryState,
     plan: &Plan,
-    threshold: usize,
     want_canonical: bool,
 ) -> Result<(Derived, Option<Canonical>)> {
     let width = base.schema().len();
@@ -324,7 +302,7 @@ fn evaluate_indexed(
     // occurrence of each distinct base tuple (matching `ops::distinct`).
     let mut live: Vec<u32> = (0..base_rows.len() as u32).collect();
     if !plan.pre_dedup.is_empty() {
-        live = filter_rows(base, &bufs, &fused(&plan.pre_dedup), &live, threshold)?;
+        live = filter_rows(base, &bufs, &fused(&plan.pre_dedup), &live)?;
     }
     if state.dedup {
         let mut seen: HashSet<&Tuple> = HashSet::with_capacity(live.len());
@@ -347,11 +325,10 @@ fn evaluate_indexed(
                 &slots,
                 &live,
                 &state.computed[i],
-                threshold,
             )?);
         }
         if !stage.filters.is_empty() {
-            live = filter_rows(base, &bufs, &fused(&stage.filters), &live, threshold)?;
+            live = filter_rows(base, &bufs, &fused(&stage.filters), &live)?;
         }
     }
 
@@ -385,7 +362,6 @@ fn evaluate_indexed(
                 &slots,
                 &live,
                 &state.computed[i],
-                threshold,
             )?);
         }
     }
@@ -393,13 +369,12 @@ fn evaluate_indexed(
     // Step 5 runs *on the index vector*: stable-sort the live row ids by
     // the presentation keys (reading values in place), then gather rows
     // exactly once, already in presentation order.
-    let parallel = live.len() >= threshold;
-    let sorted = presentation_order_ids(base, state, &slots, &bufs, &live, parallel)?;
+    let sorted = presentation_order_ids(base, state, &slots, &bufs, &live)?;
     let schema = result_schema(base, state, &order, &bufs, &live)?;
-    let data = gather_rows(base, &order, &bufs, &sorted, &schema, parallel)?;
+    let data = gather_rows(base, &order, &bufs, &sorted, &schema)?;
     let canonical = want_canonical
         .then(|| -> Result<Canonical> {
-            let rel = gather_rows(base, &order, &bufs, &live, &schema, parallel)?;
+            let rel = gather_rows(base, &order, &bufs, &live, &schema)?;
             // Presentation permutation: `sorted` is a permutation of
             // `live` (both are base row ids), so invert `live` to map a
             // presentation position to its canonical position.
@@ -464,7 +439,6 @@ fn gather_rows(
     bufs: &[Option<Vec<Value>>],
     ids: &[u32],
     schema: &Schema,
-    parallel: bool,
 ) -> Result<Relation> {
     ssa_relation::fault_check!("eval.gather");
     let base_rows = base.rows();
@@ -481,7 +455,7 @@ fn gather_rows(
             })
         })
         .collect::<Result<_>>()?;
-    let chunks = chunk_map(ids, parallel, |chunk| {
+    let chunks = chunk_map(ids, ids.len() >= PARALLEL_THRESHOLD, |chunk| {
         chunk
             .iter()
             .map(|&row| {
@@ -511,7 +485,6 @@ fn presentation_order_ids(
     slots: &HashMap<&str, usize>,
     bufs: &[Option<Vec<Value>>],
     live: &[u32],
-    parallel: bool,
 ) -> Result<Vec<u32>> {
     let resolve = |name: &str| {
         slots.get(name).copied().ok_or_else(|| {
@@ -540,8 +513,7 @@ fn presentation_order_ids(
     // lexicographic ranks (one snapshot fetch, then O(1) per row — no
     // string bytes touched); any other column gets *dense ranks* from one
     // ordered pass over its distinct values. Either way the sort then
-    // compares plain `i64`s. Key columns rank independently, hence in
-    // parallel.
+    // compares plain `i64`s.
     let rank_column = |&(slot, desc): &(usize, bool)| -> (Vec<i64>, bool) {
         let mut raw: Vec<i64> = Vec::with_capacity(live.len());
         for &row in live {
@@ -577,19 +549,12 @@ fn presentation_order_ids(
             .collect();
         (ranks, desc)
     };
-    let rank_cols: Vec<(Vec<i64>, bool)> = if parallel && keys.len() > 1 {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = keys.iter().map(|k| s.spawn(|| rank_column(k))).collect();
-            ssa_relation::par::join_all(handles)
-        })?
-    } else {
-        keys.iter().map(rank_column).collect()
-    };
+    let rank_cols: Vec<(Vec<i64>, bool)> = keys.iter().map(rank_column).collect();
 
     // Stable sort of *positions* into `live` by the rank tuples; ties
     // keep canonical order.
     let mut pos: Vec<u32> = (0..live.len() as u32).collect();
-    let cmp = |a: u32, b: u32| {
+    pos.sort_by(|&a, &b| {
         for (ranks, desc) in &rank_cols {
             let ord = ranks[a as usize].cmp(&ranks[b as usize]);
             let ord = if *desc { ord.reverse() } else { ord };
@@ -598,86 +563,8 @@ fn presentation_order_ids(
             }
         }
         std::cmp::Ordering::Equal
-    };
-    stable_sort_ids(&mut pos, parallel, cmp)?;
+    });
     Ok(pos.into_iter().map(|p| live[p as usize]).collect())
-}
-
-/// Stable sort of row ids: a plain `sort_by` sequentially, or a chunked
-/// parallel merge sort (sorted runs merged pairwise, left run winning
-/// ties, which preserves stability).
-fn stable_sort_ids(
-    ids: &mut Vec<u32>,
-    parallel: bool,
-    cmp: impl Fn(u32, u32) -> std::cmp::Ordering + Sync,
-) -> Result<()> {
-    let workers = if parallel {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        1
-    };
-    if workers <= 1 || ids.len() < 2 * workers {
-        ids.sort_by(|&a, &b| cmp(a, b));
-        return Ok(());
-    }
-    let chunk = ids.len().div_ceil(workers);
-    let cmp = &cmp;
-    let mut runs: Vec<Vec<u32>> = std::thread::scope(|s| {
-        let handles: Vec<_> = ids
-            .chunks(chunk)
-            .map(|c| {
-                s.spawn(move || {
-                    let mut run = c.to_vec();
-                    run.sort_by(|&a, &b| cmp(a, b));
-                    run
-                })
-            })
-            .collect();
-        ssa_relation::par::join_all(handles)
-    })?;
-    while runs.len() > 1 {
-        runs = std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(runs.len().div_ceil(2));
-            let mut it = runs.into_iter();
-            while let Some(a) = it.next() {
-                match it.next() {
-                    Some(b) => handles.push(s.spawn(move || merge_runs(a, b, cmp))),
-                    None => handles.push(s.spawn(move || a)),
-                }
-            }
-            ssa_relation::par::join_all(handles)
-        })?;
-    }
-    debug_assert!(runs.len() == 1, "merge loop converges to one run");
-    *ids = runs.pop().ok_or_else(|| SheetError::Internal {
-        detail: "parallel sort produced no runs".into(),
-    })?;
-    Ok(())
-}
-
-fn merge_runs(
-    a: Vec<u32>,
-    b: Vec<u32>,
-    cmp: &(impl Fn(u32, u32) -> std::cmp::Ordering + Sync),
-) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        // `a`'s elements precede `b`'s in canonical order, so the left
-        // run wins ties.
-        if cmp(b[j], a[i]) == std::cmp::Ordering::Less {
-            out.push(b[j]);
-            j += 1;
-        } else {
-            out.push(a[i]);
-            i += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 /// Materialize one computed column into a columnar buffer over the base
@@ -689,12 +576,11 @@ fn materialize_buffer(
     slots: &HashMap<&str, usize>,
     live: &[u32],
     col: &ComputedColumn,
-    threshold: usize,
 ) -> Result<Vec<Value>> {
     ssa_relation::fault_check!("eval.materialize");
     let width = base.schema().len();
     let base_rows = base.rows();
-    let parallel = live.len() >= threshold;
+    let parallel = live.len() >= PARALLEL_THRESHOLD;
     let mut buf = vec![Value::Null; base_rows.len()];
     match &col.def {
         ComputedDef::Formula { expr } => {
@@ -807,12 +693,11 @@ fn filter_rows(
     bufs: &[Option<Vec<Value>>],
     compiled: &[&CompiledExpr],
     live: &[u32],
-    threshold: usize,
 ) -> Result<Vec<u32>> {
     ssa_relation::fault_check!("eval.filter");
     let width = base.schema().len();
     let base_rows = base.rows();
-    let parallel = live.len() >= threshold;
+    let parallel = live.len() >= PARALLEL_THRESHOLD;
     let chunks = chunk_map(live, parallel, |chunk| {
         let mut keep = Vec::with_capacity(chunk.len());
         'rows: for &row in chunk {
@@ -869,64 +754,21 @@ fn atoms_pass(atoms: &AtomTest, t: &Tuple) -> bool {
     })
 }
 
-/// Compile `predicate` against `rel`'s schema and return the ids of the
-/// rows satisfying it, in order — the incremental cache's
-/// single-predicate index filter over an already-materialized relation.
-/// Runs the same compiled-expression machinery as step 3, with the
-/// relation's own columns as the slot table.
-pub(crate) fn filter_relation(
-    rel: &Relation,
-    predicate: &Expr,
-    threshold: usize,
-) -> Result<Vec<u32>> {
-    if let Some(atoms) = atom_test(rel.schema(), predicate) {
-        let Some(atoms) = atoms else {
-            return Ok(Vec::new());
-        };
-        let rows = rel.rows();
-        let keep = |start: usize, end: usize| -> Vec<u32> {
-            rows.iter()
-                .enumerate()
-                .skip(start)
-                .take(end - start)
-                .filter(|(_, t)| atoms_pass(&atoms, t))
-                .map(|(i, _)| i as u32)
-                .collect()
-        };
-        let workers = if rows.len() >= threshold {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(rows.len().max(1))
-        } else {
-            1
-        };
-        if workers > 1 {
-            let chunk = rows.len().div_ceil(workers);
-            let keep = &keep;
-            let parts: Vec<Vec<u32>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let start = w * chunk;
-                        let end = ((w + 1) * chunk).min(rows.len());
-                        s.spawn(move || keep(start, end))
-                    })
-                    .collect();
-                ssa_relation::par::join_all(handles)
-            })?;
-            return Ok(parts.concat());
-        }
-        return Ok(keep(0, rows.len()));
-    }
-    let schema = rel.schema();
-    let compiled = CompiledExpr::compile(predicate, &mut |n| schema.index_of(n).ok())?;
-    let live: Vec<u32> = (0..rel.len() as u32).collect();
-    filter_rows(rel, &[], &[&compiled], &live, threshold)
+/// The ids of `rel`'s rows satisfying `predicate`, in order — the
+/// incremental cache's single-predicate index filter over an
+/// already-materialized relation.
+pub(crate) fn filter_relation(rel: &Relation, predicate: &Expr) -> Result<Vec<u32>> {
+    let all: Vec<u32> = (0..rel.len() as u32).collect();
+    filter_ids(rel, predicate, &all)
 }
 
 /// The ids in `live` (ascending rows of `rel`) whose row satisfies
-/// `predicate`, in order — [`filter_relation`] over a subset, so rows a
-/// predicate rejects are never copied out of `rel`.
+/// `predicate`, in order, so rows a predicate rejects are never copied
+/// out of `rel`. A conjunction of `column OP literal` atoms takes the
+/// columnar fast path; anything else runs the same compiled-expression
+/// machinery as step 3, with the relation's own columns as the slot
+/// table. Either way the ids are chunked across threads from
+/// [`PARALLEL_THRESHOLD`] of them.
 pub(crate) fn filter_ids(rel: &Relation, predicate: &Expr, live: &[u32]) -> Result<Vec<u32>> {
     let schema = rel.schema();
     if let Some(atoms) = atom_test(schema, predicate) {
@@ -934,14 +776,17 @@ pub(crate) fn filter_ids(rel: &Relation, predicate: &Expr, live: &[u32]) -> Resu
             return Ok(Vec::new());
         };
         let rows = rel.rows();
-        return Ok(live
-            .iter()
-            .copied()
-            .filter(|&i| atoms_pass(&atoms, &rows[i as usize]))
-            .collect());
+        let parts = chunk_map(live, live.len() >= PARALLEL_THRESHOLD, |chunk| {
+            chunk
+                .iter()
+                .copied()
+                .filter(|&i| atoms_pass(&atoms, &rows[i as usize]))
+                .collect::<Vec<u32>>()
+        })?;
+        return Ok(parts.concat());
     }
     let compiled = CompiledExpr::compile(predicate, &mut |n| schema.index_of(n).ok())?;
-    filter_rows(rel, &[], &[&compiled], live, usize::MAX)
+    filter_rows(rel, &[], &[&compiled], live)
 }
 
 /// Materialize one computed column over `rel`'s rows — the incremental
@@ -951,14 +796,13 @@ pub(crate) fn filter_ids(rel: &Relation, predicate: &Expr, live: &[u32]) -> Resu
 pub(crate) fn compute_column_values(
     rel: &Relation,
     col: &ComputedColumn,
-    threshold: usize,
 ) -> Result<(Vec<Value>, ValueType)> {
     let mut slots: HashMap<&str, usize> = HashMap::with_capacity(rel.schema().len());
     for (i, name) in rel.schema().names().into_iter().enumerate() {
         slots.insert(name, i);
     }
     let live: Vec<u32> = (0..rel.len() as u32).collect();
-    let values = materialize_buffer(rel, &[], &slots, &live, col, threshold)?;
+    let values = materialize_buffer(rel, &[], &slots, &live, col)?;
     let ty = values
         .iter()
         .fold(ValueType::Null, |t, v| t.unify(v.value_type()));
@@ -1477,27 +1321,11 @@ mod tests {
     fn engines_agree_on_full_pipeline() {
         let base = table1();
         let st = full_pipeline_state();
-        let naive = evaluate_with(
-            &base,
-            &st,
-            EvalOptions {
-                naive: true,
-                ..EvalOptions::default()
-            },
-        )
-        .unwrap();
+        let naive = evaluate_with(&base, &st, EvalOptions { naive: true }).unwrap();
         let indexed = evaluate_with(&base, &st, EvalOptions::default()).unwrap();
         assert_eq!(naive, indexed);
         // canonical relations agree too (fast-reorganize path input)
-        let (_, cn, _) = evaluate_full_with(
-            &base,
-            &st,
-            EvalOptions {
-                naive: true,
-                ..EvalOptions::default()
-            },
-        )
-        .unwrap();
+        let (_, cn, _) = evaluate_full_with(&base, &st, EvalOptions { naive: true }).unwrap();
         let (_, ci, prov) = evaluate_full_with(&base, &st, EvalOptions::default()).unwrap();
         assert_eq!(cn, ci);
         // The permutation really maps presentation rows to canonical rows,
@@ -1516,30 +1344,5 @@ mod tests {
                 base.rows()[b as usize].values()
             );
         }
-    }
-
-    #[test]
-    fn parallel_threshold_does_not_change_results() {
-        let base = table1();
-        let st = full_pipeline_state();
-        let sequential = evaluate_with(
-            &base,
-            &st,
-            EvalOptions {
-                naive: false,
-                parallel_threshold: usize::MAX,
-            },
-        )
-        .unwrap();
-        let parallel = evaluate_with(
-            &base,
-            &st,
-            EvalOptions {
-                naive: false,
-                parallel_threshold: 1,
-            },
-        )
-        .unwrap();
-        assert_eq!(sequential, parallel);
     }
 }

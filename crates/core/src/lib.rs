@@ -66,7 +66,7 @@ pub mod tree;
 pub use computed::{ComputedColumn, ComputedDef};
 pub use delta::StateDelta;
 pub use error::{Result, SheetError};
-pub use eval::{evaluate, evaluate_with, Derived, EvalOptions, DEFAULT_PARALLEL_THRESHOLD};
+pub use eval::{evaluate, evaluate_with, Derived, EvalOptions};
 pub use history::{Engine, OpRecord};
 pub use modify::RemovalPlan;
 pub use plan::{join_with_pushdown, plan_tables, Plan, PlanNode, TablePlan};

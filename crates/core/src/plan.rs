@@ -561,14 +561,13 @@ pub(crate) fn split_join_condition(
 
 /// Join two relations with single-side conjuncts pushed below the join,
 /// cheap-first. Row-for-row identical (rows *and* order) to
-/// `ops::join_opts(left, right, condition, …)`; when every conjunct
+/// `ops::join(left, right, condition)`; when every conjunct
 /// pushes down, the join degenerates to a product of the filtered
 /// operands (same left-major order).
 pub fn join_with_pushdown(
     left: &Relation,
     right: &Relation,
     condition: &Expr,
-    parallel_threshold: usize,
 ) -> ssa_relation::Result<Relation> {
     let combined = left.schema().product(right.schema(), right.name());
     let (lp, rp, rest) =
@@ -582,9 +581,9 @@ pub fn join_with_pushdown(
     let lf = apply(left, &lp)?;
     let rf = apply(right, &rp)?;
     match rest {
-        Some(c) => ops::join_opts(&lf, &rf, &c, parallel_threshold),
+        Some(c) => ops::join(&lf, &rf, &c),
         None => {
-            let mut r = ops::product_opts(&lf, &rf, parallel_threshold)?;
+            let mut r = ops::product(&lf, &rf)?;
             r.set_name(format!("{}_join_{}", left.name(), right.name()));
             Ok(r)
         }
@@ -1048,17 +1047,13 @@ impl<'a> TablePlan<'a> {
     }
 
     /// Left-deep fold of a step chain (first step's condition is `None`).
-    fn fold_chain(
-        &self,
-        steps: &[JoinStep],
-        parallel_threshold: usize,
-    ) -> ssa_relation::Result<Cow<'a, Relation>> {
+    fn fold_chain(&self, steps: &[JoinStep]) -> ssa_relation::Result<Cow<'a, Relation>> {
         let mut cur = self.prepped(&steps[0])?;
         for step in &steps[1..] {
             let rhs = self.prepped(step)?;
             cur = Cow::Owned(match &step.condition {
-                Some(c) => ops::join_opts(&cur, &rhs, c, parallel_threshold)?,
-                None => ops::product_opts(&cur, &rhs, parallel_threshold)?,
+                Some(c) => ops::join(&cur, &rhs, c)?,
+                None => ops::product(&cur, &rhs)?,
             });
         }
         Ok(cur)
@@ -1070,7 +1065,7 @@ impl<'a> TablePlan<'a> {
     /// already emits that order for free; otherwise provenance columns
     /// are materialized on exactly the out-of-order inputs, sorted back,
     /// and projected away.
-    pub fn execute(&self, parallel_threshold: usize) -> ssa_relation::Result<Relation> {
+    pub fn execute(&self) -> ssa_relation::Result<Relation> {
         let sort_by_provs =
             |cur: &mut Relation, mut provs: Vec<usize>| -> ssa_relation::Result<()> {
                 provs.sort_unstable();
@@ -1089,7 +1084,7 @@ impl<'a> TablePlan<'a> {
         let mut cur: Relation = match &self.strategy {
             // Greedy order == FROM order: the chain is already in
             // nested-loop order, untouched borrows flow straight through.
-            Strategy::Chain { steps } => self.fold_chain(steps, parallel_threshold)?.into_owned(),
+            Strategy::Chain { steps } => self.fold_chain(steps)?.into_owned(),
             Strategy::Flip {
                 head,
                 rest,
@@ -1101,14 +1096,14 @@ impl<'a> TablePlan<'a> {
                 // (small, post-join) chain back into their FROM order.
                 let ordered = rest.windows(2).all(|w| w[0].input < w[1].input);
                 let right: Relation = if ordered {
-                    self.fold_chain(rest, parallel_threshold)?.into_owned()
+                    self.fold_chain(rest)?.into_owned()
                 } else {
                     let mut cur = self.prov_prepped(&rest[0])?;
                     for step in &rest[1..] {
                         let rhs = self.prov_prepped(step)?;
                         cur = match &step.condition {
-                            Some(c) => ops::join_opts(&cur, &rhs, c, parallel_threshold)?,
-                            None => ops::product_opts(&cur, &rhs, parallel_threshold)?,
+                            Some(c) => ops::join(&cur, &rhs, c)?,
+                            None => ops::product(&cur, &rhs)?,
                         };
                     }
                     sort_by_provs(&mut cur, rest.iter().map(|s| s.input).collect())?;
@@ -1120,8 +1115,8 @@ impl<'a> TablePlan<'a> {
                 // nested-loop order over (head, rest-in-FROM-order).
                 let left = self.prepped(head)?;
                 match condition {
-                    Some(c) => ops::join_opts(&left, &right, c, parallel_threshold)?,
-                    None => ops::product_opts(&left, &right, parallel_threshold)?,
+                    Some(c) => ops::join(&left, &right, c)?,
+                    None => ops::product(&left, &right)?,
                 }
             }
             Strategy::Prov { steps } => {
@@ -1129,8 +1124,8 @@ impl<'a> TablePlan<'a> {
                 for step in &steps[1..] {
                     let rhs = self.prov_prepped(step)?;
                     cur = match &step.condition {
-                        Some(c) => ops::join_opts(&cur, &rhs, c, parallel_threshold)?,
-                        None => ops::product_opts(&cur, &rhs, parallel_threshold)?,
+                        Some(c) => ops::join(&cur, &rhs, c)?,
+                        None => ops::product(&cur, &rhs)?,
                     };
                 }
                 cur

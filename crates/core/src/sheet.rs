@@ -404,14 +404,14 @@ fn stage_base_rows(
             // Null stands.
             if let ComputedDef::Formula { .. } = col.def {
                 let idx = canonical.index_of(&col.name)?;
-                let (values, _) = compute_column_values(&staged, col, usize::MAX)?;
+                let (values, _) = compute_column_values(&staged, col)?;
                 for (row, v) in staged.rows_mut().iter_mut().zip(values) {
                     row.set(idx, v);
                 }
             }
         }
         if let Some(pred) = preds_at(rank) {
-            let keep = filter_relation(&staged, &pred, usize::MAX)?;
+            let keep = filter_relation(&staged, &pred)?;
             if keep.len() < staged.len() {
                 ids = keep.iter().map(|&k| ids[k as usize]).collect();
                 staged = staged.take_rows(&keep);
@@ -767,13 +767,7 @@ impl CacheEntry {
     ///
     /// `narrowed` names the selections the predicates come from (added
     /// or tightened); the dropped rows become their set-aside rows.
-    fn narrow(
-        &mut self,
-        predicates: &[Expr],
-        narrowed: &[u64],
-        state: &QueryState,
-        threshold: usize,
-    ) -> Result<()> {
+    fn narrow(&mut self, predicates: &[Expr], narrowed: &[u64], state: &QueryState) -> Result<()> {
         ssa_relation::fault_check!("delta.narrow");
         // Same rewrite the full evaluator's fused filter pass applies:
         // cheap and selective predicates first (the narrowed predicates
@@ -782,14 +776,14 @@ impl CacheEntry {
         let Some(predicate) = Expr::conjoin(ordered) else {
             return Ok(());
         };
-        let keep = filter_relation(&self.canonical, &predicate, threshold)?;
+        let keep = filter_relation(&self.canonical, &predicate)?;
         self.set_aside(narrowed, &keep);
         if keep.len() == self.canonical.len() {
             // The tightened predicates removed nothing: rows, aggregates,
             // order, tree and types all stand exactly as cached.
             return Ok(());
         }
-        self.narrow_to(&keep, state, threshold)
+        self.narrow_to(&keep, state)
     }
 
     /// Record the canonical rows a narrowing drops (those missing from
@@ -855,7 +849,6 @@ impl CacheEntry {
         id: u64,
         replacement: Option<&Expr>,
         state: &QueryState,
-        threshold: usize,
     ) -> Result<()> {
         ssa_relation::fault_check!("delta.widen");
         let internal = |detail: &str| SheetError::Internal {
@@ -884,7 +877,7 @@ impl CacheEntry {
             .ok_or_else(|| internal("widen requires the presentation permutation"))?;
         // An incomparable replacement can reject cached rows too.
         let keep = match replacement {
-            Some(p) if !old.implies(p) => Some(filter_relation(&self.canonical, p, threshold)?),
+            Some(p) if !old.implies(p) => Some(filter_relation(&self.canonical, p)?),
             _ => None,
         };
         let staged = stage_base_rows(self.canonical.schema(), base, candidates.clone(), state)?;
@@ -1033,7 +1026,7 @@ impl CacheEntry {
         let level_bases: Vec<Vec<String>> =
             self.spec.levels.iter().map(|l| l.basis.clone()).collect();
         self.derived.tree = build_tree(&self.derived.data, &level_bases);
-        self.refresh_volatile(state, threshold, &perm)?;
+        self.refresh_volatile(state, &perm)?;
         self.perm = Some(perm);
         if replacement.is_some() {
             self.rejected.insert(id, merge_ids(&still_out, &dropped));
@@ -1045,7 +1038,7 @@ impl CacheEntry {
     /// deletion: keep exactly the canonical rows listed (ascending) in
     /// `keep`, filter every derived structure through the permutation,
     /// and refresh the volatile columns over the smaller multiset.
-    fn narrow_to(&mut self, keep: &[u32], state: &QueryState, threshold: usize) -> Result<()> {
+    fn narrow_to(&mut self, keep: &[u32], state: &QueryState) -> Result<()> {
         // Retraction invalidates the running folds: a fold cannot
         // un-push exactly (float SUM/AVG) and Min/Max cannot retract at
         // all — the classification rule DESIGN.md §14 documents.
@@ -1079,9 +1072,6 @@ impl CacheEntry {
         // The derived rows are the same multiset in presentation order:
         // drop the same rows there (in place) and renumber the
         // permutation, preserving the presentation order of survivors.
-        // Both retains walk their whole relation and free the dropped
-        // tuples, so above the parallel threshold they run on two
-        // threads — they touch disjoint fields and share only `remap`.
         let old_perm = self.perm.take().ok_or_else(|| {
             // The caller gates this path on `perm.is_some()`; degrade to
             // the full-evaluation fallback rather than panic if not.
@@ -1093,34 +1083,17 @@ impl CacheEntry {
         // Old derived (presentation) index → new, u32::MAX for dropped —
         // this is what lets the group tree be narrowed in place below.
         let mut dmap = vec![u32::MAX; old_perm.len()];
-        {
-            let canonical = &mut self.canonical;
-            let derived = &mut self.derived.data;
-            let remap = &remap;
-            let retain_derived =
-                |perm: &mut Vec<u32>, dmap: &mut Vec<u32>, derived: &mut Relation| {
-                    derived.retain_rows(|j| {
-                        let mapped = remap[old_perm[j] as usize];
-                        if mapped != u32::MAX {
-                            dmap[j] = perm.len() as u32;
-                            perm.push(mapped);
-                        }
-                        mapped != u32::MAX
-                    });
-                };
-            if canonical.len() >= threshold {
-                std::thread::scope(|s| {
-                    let h = s.spawn(|| canonical.retain_rows(|i| remap[i] != u32::MAX));
-                    retain_derived(&mut perm, &mut dmap, derived);
-                    ssa_relation::par::join_all(vec![h])
-                })?;
-            } else {
-                canonical.retain_rows(|i| remap[i] != u32::MAX);
-                retain_derived(&mut perm, &mut dmap, derived);
+        self.canonical.retain_rows(|i| remap[i] != u32::MAX);
+        self.derived.data.retain_rows(|j| {
+            let mapped = remap[old_perm[j] as usize];
+            if mapped != u32::MAX {
+                dmap[j] = perm.len() as u32;
+                perm.push(mapped);
             }
-        }
+            mapped != u32::MAX
+        });
 
-        self.refresh_volatile(state, threshold, &perm)?;
+        self.refresh_volatile(state, &perm)?;
         // Rows vanished: narrow the group tree in place. Grouping-basis
         // values are unchanged (a volatile basis or order column forces
         // the caller to reorganize, which rebuilds the tree from
@@ -1137,12 +1110,7 @@ impl CacheEntry {
     /// and re-unify every computed column's static type so the schema
     /// matches what a fresh evaluation would produce. Shared by narrowing
     /// (a smaller multiset) and widening (a merged one).
-    fn refresh_volatile(
-        &mut self,
-        state: &QueryState,
-        threshold: usize,
-        perm: &[u32],
-    ) -> Result<()> {
+    fn refresh_volatile(&mut self, state: &QueryState, perm: &[u32]) -> Result<()> {
         // Step 4's automatic update, confined to the columns it can
         // actually change. Dependency order via fixpoint:
         // a volatile column is refreshed once its volatile inputs are.
@@ -1190,7 +1158,7 @@ impl CacheEntry {
                         grouped.insert(idx);
                     }
                     _ => {
-                        let (values, _) = compute_column_values(&self.canonical, col, threshold)?;
+                        let (values, _) = compute_column_values(&self.canonical, col)?;
                         for (row, v) in self.canonical.rows_mut().iter_mut().zip(&values) {
                             row.set(idx, *v);
                         }
@@ -1272,9 +1240,9 @@ impl CacheEntry {
     /// the derived relation gets the same column in place — rows, order
     /// and tree are untouched by a new column; without it the caller
     /// must reorganize to rebuild the derived view.
-    fn append_computed(&mut self, col: &ComputedColumn, threshold: usize) -> Result<()> {
+    fn append_computed(&mut self, col: &ComputedColumn) -> Result<()> {
         ssa_relation::fault_check!("delta.append");
-        let (values, ty) = compute_column_values(&self.canonical, col, threshold)?;
+        let (values, ty) = compute_column_values(&self.canonical, col)?;
         if let Some(perm) = &self.perm {
             self.derived
                 .data
@@ -1571,12 +1539,7 @@ impl CacheEntry {
     /// cached evaluation: translate base ids to surviving canonical
     /// indices, narrow every structure through the shared retraction
     /// core, and renumber the provenance for the shrunken base.
-    fn delete_base_rows(
-        &mut self,
-        removed: &[u32],
-        state: &QueryState,
-        threshold: usize,
-    ) -> Result<()> {
+    fn delete_base_rows(&mut self, removed: &[u32], state: &QueryState) -> Result<()> {
         let ids = self.base_ids.as_ref().ok_or_else(|| SheetError::Internal {
             detail: "delete_base_rows requires row provenance".to_string(),
         })?;
@@ -1594,7 +1557,7 @@ impl CacheEntry {
             renumbered.push(b - k as u32);
         }
         if keep.len() != ids.len() {
-            self.narrow_to(&keep, state, threshold)?;
+            self.narrow_to(&keep, state)?;
         }
         self.base_ids = Some(renumbered);
         Ok(())
@@ -1775,18 +1738,16 @@ pub struct Spreadsheet {
     /// changed, recomputed when the content-determining state changed,
     /// dropped when the base data changed.
     cache: Option<CacheEntry>,
-    /// Whether the reorganize fast path is enabled (on by default; the
-    /// `reorganize` bench ablates it).
-    fast_reorganize: bool,
-    /// Whether the delta-aware incremental paths (narrow / append /
-    /// remove / projection-toggle) are enabled (on by default; the
-    /// `incremental` bench ablates it).
+    /// Whether `view` may bring the cache current without a full
+    /// evaluation: the reorganize fast path and the delta-aware
+    /// incremental paths (narrow / widen / append / remove /
+    /// projection-toggle / base-data patches). On by default; the
+    /// ablation benches and the differential tests turn it off.
     incremental: bool,
     /// How the state relates to the cached evaluation — recorded by
     /// `invalidate` on every state edit, re-derived by `view`.
     last_delta: StateDelta,
-    /// Engine selection and parallelism knobs passed to every
-    /// evaluation.
+    /// Engine selection passed to every evaluation.
     eval_opts: EvalOptions,
     /// How many points of non-commutativity this sheet has passed.
     epoch: u64,
@@ -1842,7 +1803,6 @@ impl Spreadsheet {
             base: relation,
             state: QueryState::new(),
             cache: None,
-            fast_reorganize: true,
             incremental: true,
             last_delta: FULL_NO_CACHE,
             eval_opts: EvalOptions::default(),
@@ -1855,13 +1815,8 @@ impl Spreadsheet {
         }
     }
 
-    /// Enable/disable the fast reorganize path (for ablation benches; the
-    /// result is identical either way, which `view` tests pin).
-    pub fn set_fast_reorganize(&mut self, on: bool) {
-        self.fast_reorganize = on;
-    }
-
-    /// Enable/disable the delta-aware incremental cache paths (for
+    /// Enable/disable every cache path short of a full evaluation — the
+    /// reorganize fast path and the delta-aware incremental patches (for
     /// ablation benches and the differential tests; the result is
     /// identical either way, which `view` tests pin).
     pub fn set_incremental(&mut self, on: bool) {
@@ -1893,12 +1848,6 @@ impl Spreadsheet {
             self.eval_opts.naive = naive;
             self.cache = None;
         }
-    }
-
-    /// Set the live-row count at which the index-vector engine
-    /// parallelizes (`usize::MAX` forces sequential evaluation).
-    pub fn set_parallel_threshold(&mut self, threshold: usize) {
-        self.eval_opts.parallel_threshold = threshold;
     }
 
     /// The engine options currently in force.
@@ -2055,8 +2004,6 @@ impl Spreadsheet {
     /// entry must be discarded.
     fn apply_cached(&mut self, content: &ContentKey, visible: &Vec<String>) -> Result<CachePath> {
         let spec = self.state.spec.clone();
-        let threshold = self.eval_opts.parallel_threshold;
-        let fast_reorganize = self.fast_reorganize;
         // The delta paths reuse the index-engine machinery, so a sheet
         // pinned to the naive oracle keeps replaying the naive pipeline.
         let incremental = self.incremental && !self.eval_opts.naive;
@@ -2073,7 +2020,7 @@ impl Spreadsheet {
             if entry.spec == spec && entry.derived.visible == *visible {
                 return Ok(CachePath::Hit);
             }
-            if !fast_reorganize {
+            if !self.incremental {
                 return Ok(CachePath::Miss);
             }
             if incremental && entry.spec == spec {
@@ -2108,13 +2055,13 @@ impl Spreadsheet {
                     .filter(|n| !entry.content.selections.contains(n))
                     .map(|n| n.id)
                     .collect();
-                entry.narrow(&predicates, &narrowed, &self.state, threshold)?;
+                entry.narrow(&predicates, &narrowed, &self.state)?;
                 entry.content = content.clone();
                 entry.present_rows_patch(&spec, visible, &self.state)?;
                 "narrow"
             }
             StateDelta::Widen { id, predicate } => {
-                entry.widen(&self.base, id, predicate.as_ref(), &self.state, threshold)?;
+                entry.widen(&self.base, id, predicate.as_ref(), &self.state)?;
                 entry.content = content.clone();
                 entry.present_rows_patch(&spec, visible, &self.state)?;
                 "widen"
@@ -2127,7 +2074,7 @@ impl Spreadsheet {
                         detail: format!("appended column `{name}` missing from state"),
                     });
                 };
-                entry.append_computed(col, threshold)?;
+                entry.append_computed(col)?;
                 entry.content = content.clone();
                 if entry.spec != spec || entry.perm.is_none() {
                     entry.reorganize(&spec, visible.clone())?;
@@ -2562,7 +2509,7 @@ impl Spreadsheet {
                 return Err(SheetError::UnknownColumn { name: c });
             }
         }
-        let ids = filter_relation(&self.base, predicate, self.eval_opts.parallel_threshold)?;
+        let ids = filter_relation(&self.base, predicate)?;
         self.delete_rows(&ids)
     }
 
@@ -2634,14 +2581,13 @@ impl Spreadsheet {
     }
 
     fn patch_base_delete(&mut self, removed: &[u32]) -> Result<()> {
-        let threshold = self.eval_opts.parallel_threshold;
         let Spreadsheet { cache, state, .. } = self;
         let entry = cache.as_mut().ok_or_else(|| SheetError::Internal {
             detail: "base-data patch without a cached evaluation".to_string(),
         })?;
         // Deletion renumbers base ids.
         entry.rejected.clear();
-        entry.delete_base_rows(removed, state, threshold)
+        entry.delete_base_rows(removed, state)
     }
 
     fn patch_base_update(&mut self, row: u32, column: &str) -> Result<()> {
@@ -3282,8 +3228,7 @@ impl Spreadsheet {
     /// sheet are retained and recompute over the product.
     pub fn product(&mut self, stored: &StoredSheet) -> Result<()> {
         let left = self.evaluated_r()?;
-        let combined =
-            ops::product_opts(&left, &stored.relation, self.eval_opts.parallel_threshold)?;
+        let combined = ops::product(&left, &stored.relation)?;
         self.enter_new_epoch(combined)
     }
 
@@ -3305,13 +3250,8 @@ impl Spreadsheet {
         }
         // Planned join: operand-local conjuncts are pushed below the
         // join into their side, cheap-first (crate::plan) — identical
-        // rows and order to the direct `ops::join_opts` call.
-        let joined = crate::plan::join_with_pushdown(
-            &left,
-            &stored.relation,
-            &condition,
-            self.eval_opts.parallel_threshold,
-        )?;
+        // rows and order to the direct `ops::join` call.
+        let joined = crate::plan::join_with_pushdown(&left, &stored.relation, &condition)?;
         self.enter_new_epoch(joined)
     }
 

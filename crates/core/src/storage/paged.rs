@@ -112,7 +112,7 @@ impl PagedSheet {
         let narrow = self.file.project_relation(&needed)?;
         let kept: Relation = match predicate {
             Some(pred) => {
-                let ids = filter_relation(&narrow, pred, usize::MAX)?;
+                let ids = filter_relation(&narrow, pred)?;
                 narrow.take_rows(&ids)
             }
             None => narrow,

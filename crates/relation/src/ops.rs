@@ -10,7 +10,7 @@ use crate::agg::AggFunc;
 use crate::compiled::{BoundExpr, PairRow};
 use crate::error::{RelationError, Result};
 use crate::expr::Expr;
-use crate::par::{chunk_map, DEFAULT_PARALLEL_THRESHOLD};
+use crate::par::{chunk_map, PARALLEL_THRESHOLD};
 use crate::relation::Relation;
 use crate::schema::{Column, Schema};
 use crate::tuple::Tuple;
@@ -66,25 +66,16 @@ pub fn project_out(rel: &Relation, column: &str) -> Result<Relation> {
 }
 
 /// × — Cartesian product. Clashing right-hand names are prefixed with the
-/// right relation's name (Def. 7's `C^j ∪ C^k_s`).
+/// right relation's name (Def. 7's `C^j ∪ C^k_s`). The row gather is
+/// chunked across threads when the output cardinality `|left| × |right|`
+/// reaches [`PARALLEL_THRESHOLD`].
 pub fn product(left: &Relation, right: &Relation) -> Result<Relation> {
-    product_opts(left, right, DEFAULT_PARALLEL_THRESHOLD)
-}
-
-/// [`product`] with an explicit parallelism threshold: when the output
-/// cardinality `|left| × |right|` reaches it, the row gather is chunked
-/// across scoped threads.
-pub fn product_opts(
-    left: &Relation,
-    right: &Relation,
-    parallel_threshold: usize,
-) -> Result<Relation> {
     let schema = left.schema().product(right.schema(), right.name());
     let name = format!("{}_x_{}", left.name(), right.name());
     crate::fault_check!("ops.product");
     let cardinality = left.len().saturating_mul(right.len());
     let lids: Vec<u32> = (0..left.len() as u32).collect();
-    let chunks = chunk_map(&lids, cardinality >= parallel_threshold.max(1), |chunk| {
+    let chunks = chunk_map(&lids, cardinality >= PARALLEL_THRESHOLD, |chunk| {
         let mut rows = Vec::with_capacity(chunk.len() * right.len());
         for &li in chunk {
             let l = &left.rows()[li as usize];
@@ -106,25 +97,16 @@ pub fn product_opts(
 /// `select(product(l, r), F)` — pinned by [`oracle::join`] differentials —
 /// but evaluated as a build/probe hash join on the equi-key conjuncts of
 /// `F` (falling back to a bound nested loop when `F` has none).
-pub fn join(left: &Relation, right: &Relation, condition: &Expr) -> Result<Relation> {
-    join_opts(left, right, condition, DEFAULT_PARALLEL_THRESHOLD)
-}
-
-/// [`join`] with an explicit parallelism threshold (build partitioning,
-/// probe chunks and the row gather parallelize past it).
 ///
 /// The plan: [`Expr::extract_equi_keys`] factors `F` into equi-key column
 /// pairs plus a residual, the smaller operand is hashed on its key tuple
 /// (SQL semantics — a NULL in any key column never matches, so such rows
 /// skip the table entirely), the larger operand probes, and only the
 /// *bound* residual runs on candidate pairs. Output order is exactly the
-/// nested loop's: left-major, right rows in operand order.
-pub fn join_opts(
-    left: &Relation,
-    right: &Relation,
-    condition: &Expr,
-    parallel_threshold: usize,
-) -> Result<Relation> {
+/// nested loop's: left-major, right rows in operand order. Build
+/// partitioning, probe chunks and the row gather each go parallel from
+/// [`PARALLEL_THRESHOLD`] rows.
+pub fn join(left: &Relation, right: &Relation, condition: &Expr) -> Result<Relation> {
     crate::fault_check!("ops.join");
     let schema = left.schema().product(right.schema(), right.name());
     let name = format!("{}_join_{}", left.name(), right.name());
@@ -132,49 +114,36 @@ pub fn join_opts(
     let (keys, residual) = condition.extract_equi_keys(left_width, &schema);
     let pairs = if keys.is_empty() {
         let bound = condition.bind(&schema)?;
-        nested_pairs(left, right, &bound, left_width, parallel_threshold)?
+        nested_pairs(left, right, &bound, left_width)?
     } else {
         let residual = residual.map(|e| e.bind(&schema)).transpose()?;
-        hash_pairs(
-            left,
-            right,
-            &keys,
-            residual.as_ref(),
-            left_width,
-            parallel_threshold,
-        )?
+        hash_pairs(left, right, &keys, residual.as_ref(), left_width)?
     };
-    gather_pairs(name, schema, left, right, &pairs, parallel_threshold)
+    gather_pairs(name, schema, left, right, &pairs)
 }
 
 /// The nested-loop join path, forced: every pair is tested with the bound
 /// condition, no hash table. Kept public as the hash path's differential
 /// oracle and as the baseline the `join` bench measures against.
-pub fn join_nested(
-    left: &Relation,
-    right: &Relation,
-    condition: &Expr,
-    parallel_threshold: usize,
-) -> Result<Relation> {
+pub fn join_nested(left: &Relation, right: &Relation, condition: &Expr) -> Result<Relation> {
     let schema = left.schema().product(right.schema(), right.name());
     let name = format!("{}_join_{}", left.name(), right.name());
     let bound = condition.bind(&schema)?;
-    let pairs = nested_pairs(left, right, &bound, left.schema().len(), parallel_threshold)?;
-    gather_pairs(name, schema, left, right, &pairs, parallel_threshold)
+    let pairs = nested_pairs(left, right, &bound, left.schema().len())?;
+    gather_pairs(name, schema, left, right, &pairs)
 }
 
 /// All (left, right) row-index pairs satisfying `bound`, by exhaustive
-/// scan; left chunks run in parallel when the pair count crosses the
-/// threshold.
+/// scan; left chunks run in parallel when the pair count reaches
+/// [`PARALLEL_THRESHOLD`].
 fn nested_pairs(
     left: &Relation,
     right: &Relation,
     bound: &BoundExpr,
     left_width: usize,
-    parallel_threshold: usize,
 ) -> Result<Vec<(u32, u32)>> {
     let lids: Vec<u32> = (0..left.len() as u32).collect();
-    let parallel = left.len().saturating_mul(right.len()) >= parallel_threshold.max(1);
+    let parallel = left.len().saturating_mul(right.len()) >= PARALLEL_THRESHOLD;
     let chunks = chunk_map(&lids, parallel, |chunk| -> Result<Vec<(u32, u32)>> {
         let mut out = Vec::new();
         for &li in chunk {
@@ -246,7 +215,6 @@ fn hash_pairs(
     keys: &[(usize, usize)],
     residual: Option<&BoundExpr>,
     left_width: usize,
-    parallel_threshold: usize,
 ) -> Result<Vec<(u32, u32)>> {
     let build_left = choose_build_left(left, right, keys);
     let (build, probe) = if build_left {
@@ -268,8 +236,7 @@ fn hash_pairs(
     // NULL in any key column can never satisfy the equality conjunct
     // (NULL = x is NULL, not TRUE) and stay out of the table.
     let bids: Vec<u32> = (0..build.len() as u32).collect();
-    let threshold = parallel_threshold.max(1);
-    let partials = chunk_map(&bids, build.len() >= threshold, |chunk| {
+    let partials = chunk_map(&bids, build.len() >= PARALLEL_THRESHOLD, |chunk| {
         let mut table: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
         for &bi in chunk {
             let t = &build.rows()[bi as usize];
@@ -293,7 +260,7 @@ fn hash_pairs(
     let pids: Vec<u32> = (0..probe.len() as u32).collect();
     let chunks = chunk_map(
         &pids,
-        probe.len() >= threshold,
+        probe.len() >= PARALLEL_THRESHOLD,
         |chunk| -> Result<Vec<(u32, u32)>> {
             let mut out = Vec::new();
             let mut key: Vec<Value> = Vec::with_capacity(probe_keys.len());
@@ -345,9 +312,8 @@ fn gather_pairs(
     left: &Relation,
     right: &Relation,
     pairs: &[(u32, u32)],
-    parallel_threshold: usize,
 ) -> Result<Relation> {
-    let chunks = chunk_map(pairs, pairs.len() >= parallel_threshold.max(1), |chunk| {
+    let chunks = chunk_map(pairs, pairs.len() >= PARALLEL_THRESHOLD, |chunk| {
         let mut rows = Vec::with_capacity(chunk.len());
         for &(li, ri) in chunk {
             rows.push(left.rows()[li as usize].concat(&right.rows()[ri as usize]));
@@ -745,14 +711,12 @@ mod tests {
         )
         .unwrap();
         let cond = Expr::col("k").eq(Expr::col("j"));
-        for threshold in [1, usize::MAX] {
-            let j = join_opts(&a, &b, &cond, threshold).unwrap();
-            assert_eq!(j.len(), 2, "only k=1 matches j=1 twice");
-            assert!(j.rows().iter().all(|t| t.get(0) == &Value::Int(1)));
-            assert_eq!(j.rows(), oracle::join(&a, &b, &cond).unwrap().rows());
-        }
+        let j = join(&a, &b, &cond).unwrap();
+        assert_eq!(j.len(), 2, "only k=1 matches j=1 twice");
+        assert!(j.rows().iter().all(|t| t.get(0) == &Value::Int(1)));
+        assert_eq!(j.rows(), oracle::join(&a, &b, &cond).unwrap().rows());
         // The forced nested loop agrees (it goes through sql_cmp).
-        let n = join_nested(&a, &b, &cond, usize::MAX).unwrap();
+        let n = join_nested(&a, &b, &cond).unwrap();
         assert_eq!(n.rows(), join(&a, &b, &cond).unwrap().rows());
     }
 
@@ -887,23 +851,62 @@ mod tests {
         ));
     }
 
+    /// Inputs above [`PARALLEL_THRESHOLD`], so the chunked paths run:
+    /// a hash join whose probe side and output cross it, one whose build
+    /// side crosses it too, and a product whose cardinality does. Each
+    /// must equal the sequential definition row for row.
     #[test]
-    fn parallel_threshold_does_not_change_join_results() {
-        let models = Relation::with_rows(
-            "models",
-            Schema::of(&[("Name", Str), ("Floor", Int)]),
-            vec![tuple!["Jetta", 14600], tuple!["Civic", 13000]],
-        )
-        .unwrap();
-        let cond = Expr::col("Model")
-            .eq(Expr::col("Name"))
-            .and(Expr::col("Price").ge(Expr::col("Floor")));
-        let seq = join_opts(&cars(), &models, &cond, usize::MAX).unwrap();
-        let par = join_opts(&cars(), &models, &cond, 1).unwrap();
-        assert_eq!(seq.rows(), par.rows());
-        let seq = product_opts(&cars(), &models, usize::MAX).unwrap();
-        let par = product_opts(&cars(), &models, 1).unwrap();
-        assert_eq!(seq.rows(), par.rows());
+    fn join_and_product_above_the_parallel_threshold_match_oracle() {
+        let n = PARALLEL_THRESHOLD as i64 + 808;
+        let rel = |name: &str, cols: [&str; 2], rows: Vec<Tuple>| {
+            Relation::with_rows(name, Schema::of(&[(cols[0], Int), (cols[1], Int)]), rows).unwrap()
+        };
+
+        // Probe side and output above the threshold, build side small
+        // enough for the select-of-product oracle.
+        let big = rel(
+            "big",
+            ["k", "v"],
+            (0..n).map(|i| tuple![i % 3, i]).collect(),
+        );
+        let small = rel(
+            "small",
+            ["j", "w"],
+            (0..6).map(|i| tuple![i % 3, i]).collect(),
+        );
+        let cond = Expr::col("k")
+            .eq(Expr::col("j"))
+            .and(Expr::col("v").gt(Expr::col("w")));
+        let j = join(&big, &small, &cond).unwrap();
+        assert!(j.len() >= PARALLEL_THRESHOLD, "the gather runs chunked");
+        assert_eq!(j.rows(), oracle::join(&big, &small, &cond).unwrap().rows());
+
+        // Both sides above the threshold (the build partitions run
+        // chunked too): unique keys, so row i pairs with row i.
+        let left = rel("l", ["k", "v"], (0..n).map(|i| tuple![i, i]).collect());
+        let right = rel(
+            "r",
+            ["j", "w"],
+            (0..n).rev().map(|i| tuple![i, -i]).collect(),
+        );
+        let j = join(&left, &right, &Expr::col("k").eq(Expr::col("j"))).unwrap();
+        let expected: Vec<Tuple> = (0..n).map(|i| tuple![i, i, i, -i]).collect();
+        assert_eq!(j.rows(), &expected);
+
+        // |l| × |r| = 10 000 output rows.
+        let l = rel(
+            "l",
+            ["a", "b"],
+            (0..100).map(|i| tuple![i, i % 7]).collect(),
+        );
+        let r = rel(
+            "r",
+            ["c", "d"],
+            (0..100).map(|i| tuple![i % 5, i]).collect(),
+        );
+        let p = product(&l, &r).unwrap();
+        assert!(p.len() >= PARALLEL_THRESHOLD);
+        assert_eq!(p.rows(), oracle::product(&l, &r).unwrap().rows());
     }
 
     #[test]

@@ -1,63 +1,47 @@
-//! Scoped-thread chunking shared by the relational operators and the
-//! core evaluation engine.
+//! The one place in the relational operators and the evaluation engine
+//! that starts threads.
 //!
 //! One pattern serves every data-parallel loop in the workspace: split a
 //! slice into one chunk per available core, run the worker on scoped
 //! threads, and hand the per-chunk results back *in order* so callers can
 //! concatenate without re-sorting. Sequential execution (one chunk) is
-//! the degenerate case, so call sites stay branch-free: they compute the
-//! `parallel` decision from their row counts and a threshold and let
-//! `chunk_map` do the rest.
+//! the degenerate case, so call sites stay branch-free: they compare
+//! their row count with [`PARALLEL_THRESHOLD`] and let [`chunk_map`] do
+//! the rest.
+//!
+//! The threads stay because they pay on the interactive paths: with
+//! every call forced sequential, the end-to-end benchmark's `live_orders`
+//! view latency rose 27% (0.91 → 1.15 ms) and `refine` gestures slowed
+//! 14% (0.463 → 0.529 ms) on a 2-vCPU machine. Splitting work any other
+//! way (per sort key, merge-sort runs, two relations at once) measured
+//! within noise end to end, so sorting and the cache patches run
+//! sequentially.
 //!
 //! Worker panics never abort the process: both the sequential path
 //! (via `catch_unwind`) and the threaded path (via the `join` result)
 //! surface them as [`RelationError::WorkerPanicked`], so the panic policy
-//! is uniform on both sides of the parallelism threshold.
+//! is uniform on both sides of the threshold.
 
 use crate::error::{RelationError, Result};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Default number of rows below which the operators and the evaluation
-/// engine stay single-threaded: thread spawning costs microseconds, so
-/// small relations are faster sequentially.
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 8192;
+/// Row count from which the operators and the evaluation engine split
+/// their work across threads: spawning costs microseconds, so smaller
+/// inputs are faster sequentially. Fixed, not a setting.
+pub const PARALLEL_THRESHOLD: usize = 8192;
 
 /// Render a caught panic payload for [`RelationError::WorkerPanicked`].
 /// `&str` and `String` payloads (everything `panic!` produces in this
 /// workspace, including armed failpoints) pass through verbatim.
-pub(crate) fn panic_site(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
+fn panic_site(payload: Box<dyn std::any::Any + Send>) -> RelationError {
+    let site = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "unknown panic payload".to_string()
-    }
-}
-
-/// Join a set of scoped-thread handles in order, converting any worker
-/// panic into [`RelationError::WorkerPanicked`] instead of resuming the
-/// unwind on the caller. Used by `chunk_map` and by the hand-rolled
-/// scoped loops in the evaluation engine.
-pub fn join_all<R>(handles: Vec<std::thread::ScopedJoinHandle<'_, R>>) -> Result<Vec<R>> {
-    let mut out = Vec::with_capacity(handles.len());
-    let mut panicked: Option<RelationError> = None;
-    for h in handles {
-        match h.join() {
-            Ok(r) => out.push(r),
-            Err(payload) => {
-                // Keep joining the rest so the scope exits cleanly, but
-                // report the first panic.
-                panicked.get_or_insert(RelationError::WorkerPanicked {
-                    site: panic_site(payload),
-                });
-            }
-        }
-    }
-    match panicked {
-        Some(e) => Err(e),
-        None => Ok(out),
-    }
+    };
+    RelationError::WorkerPanicked { site }
 }
 
 /// Run `f` over `items`, chunked across scoped threads when `parallel`
@@ -78,35 +62,40 @@ where
         1
     };
     let workers = workers.min(items.len().max(1));
+    let run = |c: &[T]| {
+        #[cfg(feature = "fault-injection")]
+        crate::fault::maybe_panic("par.chunk");
+        f(c)
+    };
     if workers <= 1 {
         // The closure is re-entered nowhere after a panic, and all results
         // flow through the return value, so broken-invariant observation
         // is impossible: AssertUnwindSafe is sound here.
-        return match catch_unwind(AssertUnwindSafe(|| {
-            #[cfg(feature = "fault-injection")]
-            crate::fault::maybe_panic("par.chunk");
-            f(items)
-        })) {
-            Ok(r) => Ok(vec![r]),
-            Err(payload) => Err(RelationError::WorkerPanicked {
-                site: panic_site(payload),
-            }),
-        };
+        return catch_unwind(AssertUnwindSafe(|| vec![run(items)])).map_err(panic_site);
     }
     let chunk = items.len().div_ceil(workers);
-    let f = &f;
+    let run = &run;
     std::thread::scope(|s| {
         let handles: Vec<_> = items
             .chunks(chunk)
-            .map(|c| {
-                s.spawn(move || {
-                    #[cfg(feature = "fault-injection")]
-                    crate::fault::maybe_panic("par.chunk");
-                    f(c)
-                })
-            })
+            .map(|c| s.spawn(move || run(c)))
             .collect();
-        join_all(handles)
+        // Join every handle so the scope exits cleanly, but report the
+        // first panic.
+        let mut out = Vec::with_capacity(handles.len());
+        let mut panicked = None;
+        for h in handles {
+            match h.join() {
+                Ok(r) => out.push(r),
+                Err(payload) => {
+                    panicked.get_or_insert(panic_site(payload));
+                }
+            }
+        }
+        match panicked {
+            Some(e) => Err(e),
+            None => Ok(out),
+        }
     })
 }
 

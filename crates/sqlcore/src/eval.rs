@@ -44,7 +44,7 @@ pub fn eval_select_planned(stmt: &SelectStmt, catalog: &Catalog) -> Result<Relat
         .map(|n| catalog.get(n))
         .collect::<Result<_>>()?;
     let plan = plan_tables(&inputs, stmt.where_clause.as_ref())?;
-    let data = plan.execute(ssa_relation::par::DEFAULT_PARALLEL_THRESHOLD)?;
+    let data = plan.execute()?;
     finish_select(stmt, data)
 }
 

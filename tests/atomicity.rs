@@ -430,7 +430,7 @@ mod injected {
             s.last_delta()
         );
         fault::arm("delta.narrow", 1, Behavior::Error);
-        let view = s.view().map(|v| v.clone());
+        let view = s.view().cloned();
         fault::disarm("delta.narrow");
         let view = view.expect("view falls back to a full evaluation");
         assert_eq!(
@@ -474,7 +474,7 @@ mod injected {
             s.last_delta()
         );
         fault::arm("delta.widen", 1, Behavior::Error);
-        let view = s.view().map(|v| v.clone());
+        let view = s.view().cloned();
         fault::disarm("delta.widen");
         let view = view.expect("view falls back to a full evaluation");
         assert_eq!(
@@ -525,8 +525,10 @@ mod injected {
         let mut witness = s.clone();
         let expected = witness.view().unwrap().clone();
 
-        // 10k rows is above the default 8192-row parallel threshold, so
-        // evaluation fans out and the armed failpoint panics a worker.
+        // 10k rows is above `par::PARALLEL_THRESHOLD` (8192), so
+        // evaluation fans out and the armed failpoint panics a worker
+        // thread (below it, the same failpoint panics `chunk_map`'s
+        // inline path, with the same typed error).
         fault::arm("par.chunk", 1, Behavior::Panic);
         let err = s.view().expect_err("worker panic must surface as Err");
         match err {
@@ -540,6 +542,57 @@ mod injected {
         // The sheet recovers: the next view evaluates from scratch.
         assert_eq!(s.view().unwrap(), &expected);
         assert_eq!(s.state(), witness.state());
+    }
+
+    /// The uniform panic policy below the threshold: a sheet too small
+    /// to go parallel still runs its narrow patch's `column OP literal`
+    /// filter through `chunk_map`, so a panic there fails the patch with
+    /// a typed `WorkerPanicked` instead of unwinding. `view` counts the
+    /// failed patch, falls back to a full evaluation equal to the clean
+    /// witness, and `explain` quotes the error.
+    #[test]
+    fn worker_panic_below_the_threshold_fails_the_patch_and_falls_back() {
+        let _guard = fault::lock();
+        let rows: Vec<Tuple> = (0..1_000i64)
+            .map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 7)]))
+            .collect();
+        let relation = Relation::with_rows(
+            "small",
+            Schema::of(&[("A", ValueType::Int), ("B", ValueType::Int)]),
+            rows,
+        )
+        .unwrap();
+        assert!(relation.len() < ssa_relation::par::PARALLEL_THRESHOLD);
+        let mut s = Spreadsheet::over(relation);
+        s.view().unwrap(); // warm: the selection below patches
+        s.select(Expr::col("B").lt(Expr::lit(5))).unwrap();
+        assert!(
+            matches!(s.last_delta(), StateDelta::Narrow { .. }),
+            "the edit must classify as a narrowing, got {}",
+            s.last_delta()
+        );
+        let mut witness = s.clone();
+        let expected = witness.view().unwrap().clone();
+
+        fault::arm("par.chunk", 1, Behavior::Panic);
+        let view = s.view().cloned();
+        fault::disarm("par.chunk");
+        let view = view.expect("view falls back to a full evaluation");
+        assert_eq!(view, expected, "fallback diverged from the clean witness");
+        assert_eq!(
+            s.last_delta(),
+            &StateDelta::Full {
+                reason: "incremental patch failed",
+            }
+        );
+        let explained = s.explain().unwrap();
+        let typed = RelationError::WorkerPanicked {
+            site: "fault injected at `par.chunk`".to_string(),
+        };
+        assert!(
+            explained.contains(&format!("failed patches: 1 (last: {typed})")),
+            "explain must count and quote the worker panic:\n{explained}"
+        );
     }
 
     #[test]

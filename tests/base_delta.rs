@@ -21,10 +21,7 @@ use ssa_relation::{tuple, Tuple, Value};
 const SEED: u64 = 0xBA5E_DE17A;
 
 fn naive() -> EvalOptions {
-    EvalOptions {
-        naive: true,
-        ..EvalOptions::default()
-    }
+    EvalOptions { naive: true }
 }
 
 /// The oracle check: the maintained view equals a fresh naive evaluation

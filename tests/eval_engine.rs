@@ -3,7 +3,7 @@
 //! The index-vector engine (default) and the naive row-cloning engine
 //! must be observationally identical: same `Derived` (data, tree,
 //! visible list) for every state, same errors for every invalid state,
-//! and the same results whatever the parallelism threshold. The naive
+//! on either side of the parallel threshold. The naive
 //! engine is the oracle — it is a direct transcription of the paper's
 //! canonical pipeline over whole relations.
 
@@ -13,6 +13,7 @@ use common::{arb_op, arb_sheet};
 use spreadsheet_algebra::eval::{evaluate_with, EvalOptions};
 use spreadsheet_algebra::prelude::*;
 use spreadsheet_algebra::{ComputedColumn, QueryState};
+use ssa_relation::par::PARALLEL_THRESHOLD;
 use ssa_relation::rng::Rng;
 use ssa_relation::schema::Schema;
 use ssa_relation::tuple;
@@ -21,33 +22,21 @@ use ssa_relation::ValueType::{Int, Str};
 const SEED: u64 = 0xE7A1_5EED;
 
 fn naive() -> EvalOptions {
-    EvalOptions {
-        naive: true,
-        ..EvalOptions::default()
-    }
-}
-
-fn indexed(parallel_threshold: usize) -> EvalOptions {
-    EvalOptions {
-        naive: false,
-        parallel_threshold,
-    }
+    EvalOptions { naive: true }
 }
 
 /// The oracle check: evaluate one (base, state) pair on both engines and
 /// demand identical output (or identical failure).
 fn assert_engines_agree(base: &ssa_relation::Relation, state: &QueryState, case: u64) {
     let reference = evaluate_with(base, state, naive());
-    for threshold in [usize::MAX, 1] {
-        let candidate = evaluate_with(base, state, indexed(threshold));
-        match (&reference, &candidate) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a, b, "case {case}, threshold {threshold}");
-                assert!(a.equivalent(b), "case {case}: equal but not equivalent?");
-            }
-            (Err(_), Err(_)) => {}
-            (a, b) => panic!("case {case}: naive {a:?} vs indexed {b:?}"),
+    let candidate = evaluate_with(base, state, EvalOptions::default());
+    match (&reference, &candidate) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a, b, "case {case}");
+            assert!(a.equivalent(b), "case {case}: equal but not equivalent?");
         }
+        (Err(_), Err(_)) => {}
+        (a, b) => panic!("case {case}: naive {a:?} vs indexed {b:?}"),
     }
 }
 
@@ -135,24 +124,21 @@ fn engines_agree_on_bulk_synthetic_data() {
     assert_engines_agree(&base, &full_state(), 0xB01D);
 }
 
+/// The chunked paths: a base of four times [`PARALLEL_THRESHOLD`], so
+/// the filter passes, both computed columns and the final row gather
+/// (more than the threshold survive) all run across threads.
 #[test]
-fn parallel_threshold_is_invisible() {
-    // Sequential vs fully-chunked index-vector evaluation: bit-identical.
+fn engines_agree_above_the_parallel_threshold() {
     let mut rng = Rng::seed_from_u64(SEED ^ 0xC0DE);
-    let base = synthetic_cars(&mut rng, 2048);
+    let base = synthetic_cars(&mut rng, 4 * PARALLEL_THRESHOLD);
     let st = full_state();
-    let sequential = evaluate_with(&base, &st, indexed(usize::MAX)).unwrap();
-    let parallel = evaluate_with(&base, &st, indexed(1)).unwrap();
-    assert_eq!(sequential, parallel);
-
-    // And on small random sheets drawn from the operator generators.
-    for case in 0..30u64 {
-        let mut rng = Rng::seed_from_u64(SEED ^ 0xD00D ^ (case << 8));
-        let sheet = arb_sheet(&mut rng);
-        let a = evaluate_with(sheet.base(), sheet.state(), indexed(usize::MAX));
-        let b = evaluate_with(sheet.base(), sheet.state(), indexed(1));
-        assert_eq!(a, b, "case {case}");
-    }
+    assert_engines_agree(&base, &st, 0xC0DE);
+    let derived = evaluate_with(&base, &st, EvalOptions::default()).unwrap();
+    assert!(
+        derived.len() >= PARALLEL_THRESHOLD,
+        "{} rows",
+        derived.len()
+    );
 }
 
 /// String-heavy relation: four of six columns are strings, and comments
@@ -290,7 +276,7 @@ fn engines_agree_on_invalid_states() {
     st.add_selection(Expr::col("Ghost").gt(Expr::lit(0)));
     assert_eq!(
         evaluate_with(&base, &st, naive()).unwrap_err(),
-        evaluate_with(&base, &st, indexed(usize::MAX)).unwrap_err(),
+        evaluate_with(&base, &st, EvalOptions::default()).unwrap_err(),
     );
 
     // Cyclic computed column.
@@ -301,7 +287,7 @@ fn engines_agree_on_invalid_states() {
     ));
     assert_eq!(
         evaluate_with(&base, &st, naive()).unwrap_err(),
-        evaluate_with(&base, &st, indexed(usize::MAX)).unwrap_err(),
+        evaluate_with(&base, &st, EvalOptions::default()).unwrap_err(),
     );
 
     // Numeric aggregate over a string column fails in both engines.
@@ -314,7 +300,7 @@ fn engines_agree_on_invalid_states() {
         vec![],
     ));
     assert!(evaluate_with(&base, &st, naive()).is_err());
-    assert!(evaluate_with(&base, &st, indexed(usize::MAX)).is_err());
+    assert!(evaluate_with(&base, &st, EvalOptions::default()).is_err());
 }
 
 #[test]

@@ -51,7 +51,7 @@ fn view_always_equals_full_evaluation() {
             .collect();
         let fast = rng.gen_bool(0.5);
         let mut sheet = Spreadsheet::over(used_cars());
-        sheet.set_fast_reorganize(fast);
+        sheet.set_incremental(fast);
         // prime the cache so later ops hit the reorganize/reuse branches
         let _ = sheet.view();
         for op in &ops {

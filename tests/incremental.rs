@@ -14,15 +14,14 @@ use spreadsheet_algebra::eval::{evaluate_with, EvalOptions};
 use spreadsheet_algebra::fixtures::used_cars;
 use spreadsheet_algebra::prelude::*;
 use spreadsheet_algebra::{Derived, StateDelta};
+use ssa_relation::par::PARALLEL_THRESHOLD;
 use ssa_relation::rng::Rng;
+use ssa_relation::{tuple, Relation};
 
 const SEED: u64 = 0xD3_17A5;
 
 fn naive() -> EvalOptions {
-    EvalOptions {
-        naive: true,
-        ..EvalOptions::default()
-    }
+    EvalOptions { naive: true }
 }
 
 /// The oracle check: the incrementally maintained view must equal a
@@ -152,10 +151,10 @@ fn arb_edit(rng: &mut Rng, sheet: &mut Spreadsheet) {
 #[test]
 fn incremental_equals_oracle_on_random_edit_sequences() {
     for case in 0..60u64 {
-        for threshold in [usize::MAX, 1] {
-            let mut rng = Rng::seed_from_u64(SEED ^ (case << 8) ^ threshold as u64);
+        // Two seed streams per case (120 sequences in all).
+        for stream in [usize::MAX as u64, 1] {
+            let mut rng = Rng::seed_from_u64(SEED ^ (case << 8) ^ stream);
             let mut sheet = Spreadsheet::over(used_cars());
-            sheet.set_parallel_threshold(threshold);
             // Warm the cache so every subsequent edit diffs against it.
             sheet.view().expect("base sheet evaluates");
             for step in 0..rng.gen_range(3..9usize) {
@@ -167,13 +166,10 @@ fn incremental_equals_oracle_on_random_edit_sequences() {
                 }
                 assert_incremental_agrees(
                     &mut sheet,
-                    &format!("case {case}, threshold {threshold}, step {step}"),
+                    &format!("case {case}, stream {stream}, step {step}"),
                 );
             }
-            assert_incremental_agrees(
-                &mut sheet,
-                &format!("case {case}, threshold {threshold}, final"),
-            );
+            assert_incremental_agrees(&mut sheet, &format!("case {case}, stream {stream}, final"));
         }
     }
 }
@@ -188,7 +184,6 @@ fn incremental_ablation_produces_identical_views() {
         let mut inc = Spreadsheet::over(used_cars());
         let mut full = Spreadsheet::over(used_cars());
         full.set_incremental(false);
-        full.set_fast_reorganize(false);
         inc.view().unwrap();
         full.view().unwrap();
         for step in 0..6 {
@@ -378,6 +373,60 @@ fn widening_without_known_set_aside_rows_says_why() {
         }
     );
     assert_incremental_agrees(&mut s, "forgotten set-aside rows");
+}
+
+/// A cars-shaped base of twice [`PARALLEL_THRESHOLD`] rows, so the
+/// patches' filters and column passes over it run chunked.
+fn big_cars() -> Relation {
+    let models = ["Jetta", "Civic", "Accord", "Focus"];
+    let rows = (0..2 * PARALLEL_THRESHOLD as i64)
+        .map(|i| {
+            tuple![
+                i,
+                models[(i % 4) as usize],
+                10_000 + (i * 7_919) % 15_000,
+                2_000 + i % 9,
+                (i * 104_729) % 150_000,
+                if i % 3 == 0 { "Good" } else { "Excellent" }
+            ]
+        })
+        .collect();
+    Relation::with_rows("cars", used_cars().schema().clone(), rows).unwrap()
+}
+
+/// A narrowing, a widening and an appended formula on a sheet above
+/// [`PARALLEL_THRESHOLD`], self-audited against a fresh evaluation and
+/// checked against the naive oracle: the chunked patch paths are the
+/// sequential ones.
+#[test]
+fn patches_above_the_parallel_threshold_equal_the_oracle() {
+    let mut s = Spreadsheet::over(big_cars());
+    s.set_audit(true);
+    s.group(&["Model"], Direction::Asc).unwrap();
+    s.aggregate(AggFunc::Avg, "Price", 2).unwrap();
+    s.view().unwrap();
+
+    let id = s.select(Expr::col("Year").ge(Expr::lit(2_002))).unwrap();
+    assert!(matches!(s.last_delta(), StateDelta::Narrow { .. }));
+    assert_incremental_agrees(&mut s, "narrow");
+    assert!(s.view().unwrap().len() >= PARALLEL_THRESHOLD);
+
+    s.remove_selection(id).unwrap();
+    assert_eq!(
+        s.last_delta(),
+        &StateDelta::Widen {
+            id,
+            predicate: None
+        }
+    );
+    assert_incremental_agrees(&mut s, "widen");
+
+    let name = s
+        .formula(Some("Markup"), Expr::col("Price").mul(Expr::lit(2)))
+        .unwrap();
+    assert_eq!(s.last_delta(), &StateDelta::AppendComputed { name });
+    assert_incremental_agrees(&mut s, "append computed");
+    assert!(s.explain().unwrap().contains("failed patches: 0"));
 }
 
 #[test]

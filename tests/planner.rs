@@ -19,14 +19,12 @@ use spreadsheet_algebra::plan::{join_with_pushdown, plan_tables, Plan};
 use spreadsheet_algebra::prelude::*;
 use spreadsheet_algebra::{ComputedColumn, QueryState};
 use ssa_relation::ops;
-use ssa_relation::par::DEFAULT_PARALLEL_THRESHOLD;
 use ssa_relation::rng::Rng;
 use ssa_relation::schema::Schema;
 use ssa_relation::ValueType::Int;
 use ssa_relation::{CmpOp, Relation, Tuple, Value};
 
 const SEED: u64 = 0x51AC_9EED;
-const THR: usize = DEFAULT_PARALLEL_THRESHOLD;
 
 // ---------------------------------------------------------------------
 // Multi-join plans vs the product-fold oracle
@@ -56,7 +54,7 @@ fn product_select_oracle(
 ) -> ssa_relation::Result<Relation> {
     let mut cur = inputs[0].clone();
     for r in &inputs[1..] {
-        cur = ops::product_opts(&cur, r, THR)?;
+        cur = ops::product(&cur, r)?;
     }
     match condition {
         Some(c) => ops::select(&cur, c),
@@ -68,7 +66,7 @@ fn product_select_oracle(
 /// the same order — or the same failure.
 fn assert_plan_matches_oracle(inputs: &[&Relation], condition: Option<&Expr>, ctx: &str) {
     let reference = product_select_oracle(inputs, condition);
-    let planned = plan_tables(inputs, condition).and_then(|p| p.execute(THR));
+    let planned = plan_tables(inputs, condition).and_then(|p| p.execute());
     match (&reference, &planned) {
         (Ok(a), Ok(b)) => {
             assert_eq!(a.schema().names(), b.schema().names(), "{ctx}: schema");
@@ -201,8 +199,8 @@ fn pushdown_join_matches_direct_join() {
             });
         }
         let cond = Expr::conjoin(conjs).expect("non-empty");
-        let direct = ops::join_opts(&left, &right, &cond, THR).expect("direct join");
-        let pushed = join_with_pushdown(&left, &right, &cond, THR).expect("pushdown join");
+        let direct = ops::join(&left, &right, &cond).expect("direct join");
+        let pushed = join_with_pushdown(&left, &right, &cond).expect("pushdown join");
         assert_eq!(
             direct.schema().names(),
             pushed.schema().names(),
@@ -217,10 +215,7 @@ fn pushdown_join_matches_direct_join() {
 // ---------------------------------------------------------------------
 
 fn naive() -> EvalOptions {
-    EvalOptions {
-        naive: true,
-        ..EvalOptions::default()
-    }
+    EvalOptions { naive: true }
 }
 
 #[test]
@@ -343,8 +338,8 @@ fn cross_side_conjuncts_stay_in_the_join_condition() {
         .le(Expr::lit(4))
         .and(Expr::col("R2").ge(Expr::lit(1)))
         .and(Expr::col("L1").lt(Expr::col("R1")));
-    let direct = ops::join_opts(&left, &right, &cond, THR).expect("direct");
-    let pushed = join_with_pushdown(&left, &right, &cond, THR).expect("pushed");
+    let direct = ops::join(&left, &right, &cond).expect("direct");
+    let pushed = join_with_pushdown(&left, &right, &cond).expect("pushed");
     assert_eq!(direct.rows(), pushed.rows());
 }
 
@@ -371,11 +366,11 @@ mod injected {
         let plan = plan_tables(&inputs, Some(&cond)).expect("plan");
 
         fault::arm("ops.join", 1, Behavior::Error);
-        let tripped = plan.execute(THR);
+        let tripped = plan.execute();
         fault::disarm("ops.join");
         assert!(tripped.is_err(), "armed ops.join must fail the execute");
 
-        let clean = plan.execute(THR).expect("clean execute");
+        let clean = plan.execute().expect("clean execute");
         let oracle = super::product_select_oracle(&inputs, Some(&cond)).expect("oracle");
         assert_eq!(clean.rows(), oracle.rows());
     }

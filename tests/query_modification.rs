@@ -200,10 +200,7 @@ fn apply_recorded(e: &mut Engine, op: &AlgebraOp) -> Option<u64> {
 /// engine's fresh evaluation of the same state; the self-audit is on, so
 /// a patch that diverges from the full pipeline fails inside `view`.
 fn assert_view_matches_naive(e: &mut Engine, context: &str) {
-    let naive = spreadsheet_algebra::EvalOptions {
-        naive: true,
-        ..spreadsheet_algebra::EvalOptions::default()
-    };
+    let naive = spreadsheet_algebra::EvalOptions { naive: true };
     let reference = spreadsheet_algebra::evaluate_with(e.sheet().base(), e.sheet().state(), naive);
     match (e.view().cloned(), reference) {
         (Ok(a), Ok(b)) => assert_eq!(a, b, "{context}"),
