@@ -19,9 +19,12 @@
 //!
 //! Every scenario but `undo_aggregate` edits the bare sheet;
 //! `undo_aggregate` runs on a history [`Engine`] so the edit can be
-//! undone. Each scenario's template (the warm sheet plus its own
-//! preparation) is cloned *outside* the timed region so each sample sees
-//! the same warm cache. Results go to console and to
+//! undone. Every sample starts from a warm sheet built afresh for it
+//! (the template plus the scenario's own preparation), outside the timed
+//! region: a clone of one shared template would share its row chunks, so
+//! the timed edit would also pay the copy-on-write of every chunk it
+//! touches, which a live session editing its own sheet never does.
+//! Results go to console and to
 //! `BENCH_incremental.json` at the repository root. `SSA_BENCH_FAST=1`
 //! runs a tiny smoke configuration (the JSON is then marked
 //! `"fast": true`).
@@ -54,7 +57,7 @@ fn template(n: usize) -> (Spreadsheet, u64) {
 
 /// What a scenario edits: the bare sheet, or a history [`Engine`] when
 /// the edit is an undo.
-trait Editable: Clone {
+trait Editable {
     fn sheet_mut(&mut self) -> &mut Spreadsheet;
 }
 
@@ -144,13 +147,20 @@ const HISTORY_SCENARIOS: &[Scenario<Engine>] = &[Scenario {
     },
 }];
 
-/// Median wall time of (edit + view) in milliseconds. The clone restoring
-/// the warm template runs outside the timed region.
-fn time_edit<S: Editable>(template: &S, arg: u64, edit: fn(&mut S, u64), samples: usize) -> f64 {
+/// Median wall time of (edit + view) in milliseconds, in full mode when
+/// `full`. Each sample's warm sheet comes from `warm()`, built outside
+/// the timed region.
+fn time_edit<S: Editable>(
+    warm: &dyn Fn() -> (S, u64),
+    full: bool,
+    edit: fn(&mut S, u64),
+    samples: usize,
+) -> f64 {
     let mut times = Vec::with_capacity(samples);
     // Warm-up iterations (code paths, allocator) are discarded.
     for i in 0..samples + 2 {
-        let mut e = template.clone();
+        let (mut e, arg) = warm();
+        e.sheet_mut().set_incremental(!full);
         let t = Instant::now();
         edit(&mut e, arg);
         black_box(e.sheet_mut().view().expect("edited sheet evaluates"));
@@ -170,16 +180,22 @@ struct Row {
 }
 
 /// Check one scenario against the naive oracle, then time it in both
-/// modes.
-fn run<S: Editable>(warm: &S, sel: u64, n: usize, sc: &Scenario<S>, samples: usize) -> Row {
-    let mut inc = warm.clone();
-    let arg = (sc.prepare)(&mut inc, sel);
-    inc.sheet_mut().view().expect("prepared template evaluates");
-    let mut full = inc.clone();
-    full.sheet_mut().set_incremental(false);
+/// modes. `template` builds the warm template and its selection id.
+fn run<S: Editable>(
+    template: &dyn Fn() -> (S, u64),
+    n: usize,
+    sc: &Scenario<S>,
+    samples: usize,
+) -> Row {
+    let warm = || {
+        let (mut s, sel) = template();
+        let arg = (sc.prepare)(&mut s, sel);
+        s.sheet_mut().view().expect("prepared template evaluates");
+        (s, arg)
+    };
     // The delta path must agree with a fresh full evaluation and with the
     // naive oracle before its timing means anything.
-    let mut a = inc.clone();
+    let (mut a, arg) = warm();
     (sc.edit)(&mut a, arg);
     let a = a.sheet_mut();
     let naive = evaluate_with(
@@ -201,8 +217,8 @@ fn run<S: Editable>(warm: &S, sel: u64, n: usize, sc: &Scenario<S>, samples: usi
         sc.name
     );
 
-    let full_ms = time_edit(&full, arg, sc.edit, samples);
-    let incremental_ms = time_edit(&inc, arg, sc.edit, samples);
+    let full_ms = time_edit(&warm, true, sc.edit, samples);
+    let incremental_ms = time_edit(&warm, false, sc.edit, samples);
     println!(
         "incremental/{:>6} rows/{:18}  full {:8.3} ms  incremental {:8.3} ms  speedup {:5.2}x",
         n,
@@ -230,13 +246,15 @@ fn main() {
 
     let mut rows = Vec::new();
     for &n in sizes {
-        let (warm, sel) = template(n);
         for sc in SHEET_SCENARIOS {
-            rows.push(run(&warm, sel, n, sc, samples));
+            rows.push(run(&|| template(n), n, sc, samples));
         }
-        let history = Engine::from_sheet(warm);
+        let history = || {
+            let (sheet, sel) = template(n);
+            (Engine::from_sheet(sheet), sel)
+        };
         for sc in HISTORY_SCENARIOS {
-            rows.push(run(&history, sel, n, sc, samples));
+            rows.push(run(&history, n, sc, samples));
         }
     }
 

@@ -109,7 +109,7 @@ fn json_open_count(path: &PathBuf) -> usize {
         .relation
         .rows()
         .iter()
-        .filter(|t| matches!(t.values()[pi], Value::Float(p) if p < PRICE_CUTOFF))
+        .filter(|t| matches!(t[pi], Value::Float(p) if p < PRICE_CUTOFF))
         .count()
 }
 
@@ -128,7 +128,7 @@ fn json_open_rows(path: &PathBuf) -> Relation {
         .rows()
         .iter()
         .enumerate()
-        .filter(|(_, t)| matches!(t.values()[pi], Value::Float(p) if p < PRICE_CUTOFF))
+        .filter(|(_, t)| matches!(t[pi], Value::Float(p) if p < PRICE_CUTOFF))
         .map(|(i, _)| i as u32)
         .collect();
     stored.relation.take_rows(&ids)

@@ -70,6 +70,59 @@ pub fn measure<O>(mut f: impl FnMut() -> O, sample_target: Duration, samples: us
     }
 }
 
+/// Time two closures side by side: warm both up, then record `samples`
+/// batches of each, alternating which one runs first, so drift in the
+/// machine's load lands on both alike. Returns the median nanoseconds
+/// per iteration of `a` and of `b`.
+pub fn measure_interleaved<A, B>(
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+    sample_target: Duration,
+    samples: usize,
+) -> (f64, f64) {
+    let (warmup, _, _) = budget();
+    let iters_for = |f: &mut dyn FnMut()| -> u64 {
+        let start = Instant::now();
+        let mut warm_iters: u64 = 0;
+        while start.elapsed() < warmup || warm_iters == 0 {
+            f();
+            warm_iters += 1;
+        }
+        let per_iter = start.elapsed().as_secs_f64() / warm_iters as f64;
+        ((sample_target.as_secs_f64() / per_iter).ceil() as u64).max(1)
+    };
+    let iters_a = iters_for(&mut || {
+        std::hint::black_box(a());
+    });
+    let iters_b = iters_for(&mut || {
+        std::hint::black_box(b());
+    });
+    let batch = |f: &mut dyn FnMut(), iters: u64| -> f64 {
+        let t = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        t.elapsed().as_secs_f64() * 1e9 / iters as f64
+    };
+    let (mut times_a, mut times_b) = (Vec::with_capacity(samples), Vec::with_capacity(samples));
+    for i in 0..samples {
+        let mut run_a = || times_a.push(batch(&mut || drop(std::hint::black_box(a())), iters_a));
+        let mut run_b = || times_b.push(batch(&mut || drop(std::hint::black_box(b())), iters_b));
+        if i % 2 == 0 {
+            run_a();
+            run_b();
+        } else {
+            run_b();
+            run_a();
+        }
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(|x, y| x.total_cmp(y));
+        v[v.len() / 2]
+    };
+    (median(times_a), median(times_b))
+}
+
 fn human(ns: f64) -> String {
     if ns < 1e3 {
         format!("{ns:.1} ns")

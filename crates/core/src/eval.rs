@@ -51,7 +51,6 @@ use ssa_relation::ops;
 use ssa_relation::relation::Relation;
 use ssa_relation::rows::Rows;
 use ssa_relation::schema::{Column, Schema};
-use ssa_relation::tuple::Tuple;
 use ssa_relation::value::{Value, ValueType};
 use ssa_relation::Expr;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -128,7 +127,7 @@ impl Derived {
                 .rows()
                 .iter()
                 .zip(other.data.rows())
-                .all(|(a, b)| a.get(i) == b.get(j));
+                .all(|(a, b)| a[i] == b[j]);
             if !same {
                 return false;
             }
@@ -213,7 +212,7 @@ fn slot_value<'a>(
     slot: usize,
 ) -> &'a Value {
     if slot < width {
-        base_rows[row as usize].get(slot)
+        &base_rows[row as usize][slot]
     } else {
         computed_value(bufs, width, row, slot)
     }
@@ -236,7 +235,7 @@ fn computed_value(bufs: &[Option<Vec<Value>>], width: usize, row: u32, slot: usi
 /// base tuple is resolved once per row, computed slots read their buffers.
 #[derive(Clone, Copy)]
 struct EngineRow<'a> {
-    base: &'a Tuple,
+    base: &'a [Value],
     bufs: &'a [Option<Vec<Value>>],
     width: usize,
     row: u32,
@@ -245,7 +244,7 @@ struct EngineRow<'a> {
 impl RowAccess for EngineRow<'_> {
     fn slot(&self, idx: usize) -> &Value {
         if idx < self.width {
-            self.base.get(idx)
+            &self.base[idx]
         } else {
             computed_value(self.bufs, self.width, self.row, idx)
         }
@@ -305,7 +304,7 @@ fn evaluate_indexed(
         live = filter_rows(base, &bufs, &fused(&plan.pre_dedup), &live)?;
     }
     if state.dedup {
-        let mut seen: HashSet<&Tuple> = HashSet::with_capacity(live.len());
+        let mut seen: HashSet<&[Value]> = HashSet::with_capacity(live.len());
         live.retain(|&i| seen.insert(&base_rows[i as usize]));
     }
 
@@ -455,24 +454,12 @@ fn gather_rows(
             })
         })
         .collect::<Result<_>>()?;
-    let chunks = chunk_map(ids, ids.len() >= PARALLEL_THRESHOLD, |chunk| {
-        chunk
-            .iter()
-            .map(|&row| {
-                let mut vals = Vec::with_capacity(width + order.len());
-                vals.extend_from_slice(base_rows[row as usize].values());
-                for buf in &ordered_bufs {
-                    vals.push(buf[row as usize]);
-                }
-                Tuple::new(vals)
-            })
-            .collect::<Vec<_>>()
+    let parallel = ids.len() >= PARALLEL_THRESHOLD;
+    let rows = Rows::build(width + order.len(), ids, parallel, |&row, vals| {
+        vals.extend_from_slice(&base_rows[row as usize]);
+        vals.extend(ordered_bufs.iter().map(|buf| buf[row as usize]));
     })?;
-    let mut rows = Vec::with_capacity(ids.len());
-    for c in chunks {
-        rows.extend(c);
-    }
-    Ok(Relation::with_rows(base.name(), schema.clone(), rows)?)
+    Ok(Relation::from_rows(base.name(), schema.clone(), rows)?)
 }
 
 /// Stable-sort the live row ids into presentation order, comparing
@@ -627,8 +614,9 @@ fn materialize_buffer(
 
             // Group membership over row ids. The empty basis (level 1)
             // is one whole-sheet group; a single-attribute basis groups
-            // on borrowed values directly; only multi-attribute bases
-            // pay for a composite key allocation per row.
+            // on borrowed values directly; a multi-attribute basis looks
+            // its composite key up from one reused buffer and allocates
+            // a key per group, not per row.
             let groups: Vec<Vec<u32>> = match basis_slots.as_slice() {
                 [] => vec![live.to_vec()],
                 [s] => {
@@ -642,12 +630,20 @@ fn materialize_buffer(
                 }
                 _ => {
                     let mut m: BTreeMap<Vec<&Value>, Vec<u32>> = BTreeMap::new();
+                    let mut key: Vec<&Value> = Vec::with_capacity(basis_slots.len());
                     for &row in live {
-                        let key: Vec<&Value> = basis_slots
-                            .iter()
-                            .map(|&s| slot_value(base_rows, bufs, width, row, s))
-                            .collect();
-                        m.entry(key).or_default().push(row);
+                        key.clear();
+                        key.extend(
+                            basis_slots
+                                .iter()
+                                .map(|&s| slot_value(base_rows, bufs, width, row, s)),
+                        );
+                        match m.get_mut(key.as_slice()) {
+                            Some(rows) => rows.push(row),
+                            None => {
+                                m.insert(key.clone(), vec![row]);
+                            }
+                        }
                     }
                     m.into_values().collect()
                 }
@@ -747,9 +743,9 @@ fn atom_test(schema: &Schema, predicate: &Expr) -> Option<Option<AtomTest>> {
     Some((!atoms.iter().any(|(_, _, lit)| lit.is_null())).then_some(atoms))
 }
 
-fn atoms_pass(atoms: &AtomTest, t: &Tuple) -> bool {
+fn atoms_pass(atoms: &AtomTest, t: &[Value]) -> bool {
     atoms.iter().all(|(idx, test, lit)| {
-        let v = t.get(*idx);
+        let v = &t[*idx];
         !v.is_null() && test(v.cmp(lit))
     })
 }
@@ -918,16 +914,14 @@ fn materialize(data: &mut Relation, col: &ComputedColumn, state: &QueryState) ->
             let col_idx = data.schema().index_of(column)?;
             let mut groups: BTreeMap<Vec<Value>, Vec<usize>> = BTreeMap::new();
             for (ri, t) in data.rows().iter().enumerate() {
-                let key: Vec<Value> = basis_idx.iter().map(|&i| *t.get(i)).collect();
+                let key: Vec<Value> = basis_idx.iter().map(|&i| t[i]).collect();
                 groups.entry(key).or_default().push(ri);
             }
             let mut per_row: Vec<Value> = vec![Value::Null; data.len()];
             let mut ty = ValueType::Null;
             for members in groups.values() {
-                let inputs: Vec<Value> = members
-                    .iter()
-                    .map(|&ri| *data.rows()[ri].get(col_idx))
-                    .collect();
+                let inputs: Vec<Value> =
+                    members.iter().map(|&ri| data.rows()[ri][col_idx]).collect();
                 let v = func.apply(&inputs)?;
                 ty = ty.unify(v.value_type());
                 for &ri in members {
@@ -966,7 +960,7 @@ pub(crate) fn presentation_permutation(data: &Relation, spec: &Spec) -> Result<V
     perm.sort_by(|&a, &b| {
         let (ra, rb) = (&rows[a as usize], &rows[b as usize]);
         for &(i, desc) in &keys {
-            let ord = ra.get(i).cmp(rb.get(i));
+            let ord = ra[i].cmp(&rb[i]);
             let ord = if desc { ord.reverse() } else { ord };
             if !ord.is_eq() {
                 return ord;
@@ -1044,8 +1038,8 @@ mod tests {
         d.data
             .rows()
             .iter()
-            .map(|t| match t.get(0) {
-                Value::Int(i) => *i,
+            .map(|t| match t[0] {
+                Value::Int(i) => i,
                 other => panic!("ID should be int, got {other}"),
             })
             .collect()
@@ -1339,10 +1333,7 @@ mod tests {
         assert!(base_ids.windows(2).all(|w| w[0] < w[1]));
         let width = base.schema().len();
         for (i, &b) in base_ids.iter().enumerate() {
-            assert_eq!(
-                &ci.rows()[i].values()[..width],
-                base.rows()[b as usize].values()
-            );
+            assert_eq!(&ci.rows()[i][..width], &base.rows()[b as usize]);
         }
     }
 }

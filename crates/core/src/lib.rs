@@ -88,5 +88,5 @@ pub mod prelude {
     pub use crate::render::{render_markdown, render_table, render_tree};
     pub use crate::sheet::{Spreadsheet, StoredSheet};
     pub use crate::spec::{Direction, OrderKey};
-    pub use ssa_relation::{AggFunc, CmpOp, Expr, Relation, Value};
+    pub use ssa_relation::{AggFunc, CmpOp, Expr, Relation, RowValues, Value};
 }

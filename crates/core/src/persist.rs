@@ -402,7 +402,7 @@ pub(crate) fn relation_to_json(r: &Relation) -> Json {
             Json::Arr(
                 r.rows()
                     .iter()
-                    .map(|t| Json::Arr(t.values().iter().map(value_to_json).collect()))
+                    .map(|t| Json::Arr(t.iter().map(value_to_json).collect()))
                     .collect(),
             ),
         ),

@@ -39,7 +39,7 @@ pub fn render_table(view: &Derived) -> String {
     for row in rows {
         for (w, &i) in widths.iter_mut().zip(&idx) {
             let start = text.len();
-            let v = row.get(i);
+            let v = &row[i];
             if !matches!(v, Value::Str(_)) {
                 push_value(&mut text, v);
             }
@@ -99,7 +99,7 @@ pub fn render_table(view: &Derived) -> String {
             let mut start = first.checked_sub(1).map_or(0, |p| ends[p]);
             let cells = ends[first..first + ncols].iter().zip(&widths).zip(&idx);
             for ((&end, &w), &i) in cells {
-                let (cell, chars) = cell_text(row.get(i), &text[start..end]);
+                let (cell, chars) = cell_text(&row[i], &text[start..end]);
                 push_cell(&mut out, cell, chars, w, &spaces);
                 start = end;
             }
@@ -148,7 +148,7 @@ pub fn render_markdown(view: &Derived) -> String {
             if k > 0 {
                 out.push_str(" | ");
             }
-            push_value(&mut out, row.get(i));
+            push_value(&mut out, &row[i]);
         }
         out.push_str(" |\n");
     }
@@ -181,7 +181,7 @@ pub fn render_tree(view: &Derived) -> String {
                     if k > 0 {
                         out.push_str(", ");
                     }
-                    push_value(out, view.data.rows()[r].get(i));
+                    push_value(out, &view.data.rows()[r][i]);
                 }
                 out.push('\n');
             }
@@ -462,7 +462,7 @@ mod tests {
         let idx = visible_indices(&view);
         let fields = |r: usize| -> Vec<String> {
             idx.iter()
-                .map(|&i| reference::format_value(view.data.rows()[r].get(i)))
+                .map(|&i| reference::format_value(&view.data.rows()[r][i]))
                 .collect()
         };
         let mut md = format!("| {} |\n", view.visible.join(" | "));
@@ -509,7 +509,7 @@ mod tests {
 
             let mut widths: Vec<usize> = cols.iter().map(|c| c.len()).collect();
             let cell =
-                |r: usize, k: usize| -> String { format_value(view.data.rows()[r].get(idx[k])) };
+                |r: usize, k: usize| -> String { format_value(&view.data.rows()[r][idx[k]]) };
             for r in 0..view.data.len() {
                 for (k, w) in widths.iter_mut().enumerate() {
                     *w = (*w).max(cell(r, k).len());

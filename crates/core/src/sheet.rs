@@ -20,7 +20,7 @@ use crate::spec::{Direction, GroupLevel, OrderKey, Spec};
 use crate::state::{volatile_columns, QueryState};
 use crate::tree::build_tree;
 use ssa_relation::schema::{Column, Schema};
-use ssa_relation::{ops, AggFunc, Expr, Relation, RelationError, Tuple, Value, ValueType};
+use ssa_relation::{ops, AggFunc, Expr, Relation, RelationError, Rows, Tuple, Value, ValueType};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -268,7 +268,7 @@ fn group_positions(
         return (0..perm.len())
             .filter(|&j| {
                 let r = &rows[perm[j] as usize];
-                target.iter().all(|(i, v)| r.get(*i) == v)
+                target.iter().all(|(i, v)| r[*i] == *v)
             })
             .collect();
     }
@@ -281,7 +281,7 @@ fn group_positions(
     };
     let cmp_to_target = |c: u32| -> std::cmp::Ordering {
         for &(i, desc) in &sort_idx[..prefix_len] {
-            let ord = rows[c as usize].get(i).cmp(&value_of(i));
+            let ord = rows[c as usize][i].cmp(&value_of(i));
             let ord = if desc { ord.reverse() } else { ord };
             if !ord.is_eq() {
                 return ord;
@@ -318,14 +318,14 @@ fn recompute_group(
     ids.sort_unstable();
     let v = {
         let rows = canonical.rows();
-        let inputs: Vec<&Value> = ids.iter().map(|&c| rows[c as usize].get(in_idx)).collect();
+        let inputs: Vec<&Value> = ids.iter().map(|&c| &rows[c as usize][in_idx]).collect();
         func.apply_refs(&inputs)?
     };
     for &j in &js {
-        derived.rows_mut()[j].set(agg_idx, v);
+        derived.rows_mut()[j][agg_idx] = v;
     }
     for &c in &ids {
-        canonical.rows_mut()[c as usize].set(agg_idx, v);
+        canonical.rows_mut()[c as usize][agg_idx] = v;
     }
     Ok(())
 }
@@ -337,14 +337,14 @@ fn recompute_group(
 /// (a row the first selection kills never evaluates later formulas, so
 /// e.g. a division by zero there must not fail the append). Rank-0
 /// selections read base columns only, so they filter the ids against
-/// `base` before any row is copied. Returns the surviving
-/// `(base id, canonical row)` pairs in base order.
+/// `base` before any row is copied. Returns the surviving base ids, in
+/// base order, and their canonical rows in the same order.
 fn stage_base_rows(
     canonical: &Schema,
     base: &Relation,
     mut ids: Vec<u32>,
     state: &QueryState,
-) -> Result<Vec<(u32, Tuple)>> {
+) -> Result<(Vec<u32>, Relation)> {
     let base_columns: BTreeSet<String> = base
         .schema()
         .columns()
@@ -381,15 +381,12 @@ fn stage_base_rows(
     if let Some(pred) = preds_at(0) {
         ids = filter_ids(base, &pred, &ids)?;
     }
-    let rows = ids
-        .iter()
-        .map(|&i| {
-            let mut vals = base.rows()[i as usize].values().to_vec();
-            vals.resize(canonical.len(), Value::Null);
-            Tuple::new(vals)
-        })
-        .collect();
-    let mut staged = Relation::with_rows("patch-rows", canonical.clone(), rows)?;
+    let computed = canonical.len() - base.schema().len();
+    let rows = Rows::build(canonical.len(), &ids, false, |&i, vals| {
+        vals.extend_from_slice(&base.rows()[i as usize]);
+        vals.extend(std::iter::repeat_n(Value::Null, computed));
+    })?;
+    let mut staged = Relation::from_rows("patch-rows", canonical.clone(), rows)?;
     let max_rank = ranks.iter().copied().max().unwrap_or(0);
     for rank in 1..=max_rank {
         for (col, _) in state
@@ -406,7 +403,7 @@ fn stage_base_rows(
                 let idx = canonical.index_of(&col.name)?;
                 let (values, _) = compute_column_values(&staged, col)?;
                 for (row, v) in staged.rows_mut().iter_mut().zip(values) {
-                    row.set(idx, v);
+                    row[idx] = v;
                 }
             }
         }
@@ -418,7 +415,7 @@ fn stage_base_rows(
             }
         }
     }
-    Ok(ids.into_iter().zip(staged.rows().iter().cloned()).collect())
+    Ok((ids, staged))
 }
 
 /// Retype column `idx` on both schemas by unifying its surviving values —
@@ -429,7 +426,7 @@ fn re_unify_column(canonical: &mut Relation, derived: &mut Relation, idx: usize)
     let ty = canonical
         .rows()
         .iter()
-        .fold(ValueType::Null, |t, r| t.unify(r.get(idx).value_type()));
+        .fold(ValueType::Null, |t, r| t.unify(r[idx].value_type()));
     canonical.schema_mut().set_column_type(idx, ty);
     derived.schema_mut().set_column_type(idx, ty);
 }
@@ -466,12 +463,12 @@ struct CacheEntry {
     /// re-grouping `Value` keys through a `BTreeMap`.
     groups: BTreeMap<Vec<usize>, GroupCache>,
     /// Dense columnar copies of canonical columns that feed grouped
-    /// re-aggregation, keyed by schema position. The row store keeps one
-    /// heap allocation per tuple, so re-reading an aggregate's input
-    /// column through the tuples costs a pointer chase per row; these
-    /// buffers turn that into a sequential scan. Cached only for
-    /// non-volatile columns (whose values the incremental paths never
-    /// rewrite) and narrowed by `keep` like the rank caches.
+    /// re-aggregation, keyed by schema position. The row store lays rows
+    /// out flat, so re-reading an aggregate's input column through it
+    /// strides over every other column of each row; these buffers turn
+    /// that into a sequential scan. Cached only for non-volatile columns
+    /// (whose values the incremental paths never rewrite) and narrowed
+    /// by `keep` like the rank caches.
     col_vals: BTreeMap<usize, Vec<Value>>,
     /// Row provenance: canonical row `i` came from base row
     /// `base_ids[i]` (strictly ascending — selection preserves base
@@ -542,12 +539,12 @@ impl CacheEntry {
         }
     }
 
-    /// Re-aggregate `func(column)` over the cached canonical rows using
-    /// (and lazily building) the group-membership cache for `basis`,
-    /// writing the refreshed values straight into column `idx` of both
-    /// the canonical and the derived relation (through `perm`) and
-    /// setting both schemas' static type — one fused pass, no
-    /// intermediate column materialization.
+    /// Aggregate `func(column)` per group of `basis` over the cached
+    /// canonical rows, using (and lazily building) the group-membership
+    /// cache for `basis`. Returns the cache's key (the basis positions),
+    /// each group's value and the values' unified type; a group emptied
+    /// by narrowing keeps `Null` and takes no part in the type, as it has
+    /// no row to receive a value.
     ///
     /// Only sound when no basis column is volatile — the caller gates on
     /// that — since cached group ids assume basis values are unchanged.
@@ -560,15 +557,13 @@ impl CacheEntry {
     /// its values are never rewritten while this cache entry lives —
     /// only then may the input be read from (and cached in) the dense
     /// columnar buffer.
-    fn refresh_aggregate_grouped(
+    fn aggregate_grouped(
         &mut self,
-        idx: usize,
         func: AggFunc,
         column: &str,
         basis: &[String],
-        perm: &[u32],
         input_stable: bool,
-    ) -> Result<()> {
+    ) -> Result<(Vec<usize>, Vec<Value>, ValueType)> {
         let schema = self.canonical.schema();
         let basis_idx: Vec<usize> = basis
             .iter()
@@ -578,45 +573,50 @@ impl CacheEntry {
         let CacheEntry {
             groups,
             canonical,
-            derived,
             col_vals,
             ..
         } = self;
         let rows = canonical.rows();
-        let gc = groups.entry(basis_idx).or_insert_with_key(|basis_idx| {
-            if basis_idx.is_empty() {
-                // Level 1: the whole sheet is one group.
-                GroupCache {
-                    gid: vec![0; rows.len()],
-                    groups: 1,
+        let gc = groups
+            .entry(basis_idx.clone())
+            .or_insert_with_key(|basis_idx| {
+                if basis_idx.is_empty() {
+                    // Level 1: the whole sheet is one group.
+                    GroupCache {
+                        gid: vec![0; rows.len()],
+                        groups: 1,
+                    }
+                } else {
+                    // One reused key buffer: a key is allocated per group,
+                    // not per row.
+                    let mut ids: BTreeMap<Vec<&Value>, u32> = BTreeMap::new();
+                    let mut gid = Vec::with_capacity(rows.len());
+                    let mut key: Vec<&Value> = Vec::with_capacity(basis_idx.len());
+                    for t in rows {
+                        key.clear();
+                        key.extend(basis_idx.iter().map(|&i| &t[i]));
+                        let next = ids.len() as u32;
+                        gid.push(match ids.get(key.as_slice()) {
+                            Some(&g) => g,
+                            None => *ids.entry(key.clone()).or_insert(next),
+                        });
+                    }
+                    GroupCache {
+                        gid,
+                        groups: ids.len() as u32,
+                    }
                 }
-            } else {
-                let mut ids: BTreeMap<Vec<&Value>, u32> = BTreeMap::new();
-                let mut gid = Vec::with_capacity(rows.len());
-                for t in rows {
-                    let key: Vec<&Value> = basis_idx.iter().map(|&i| t.get(i)).collect();
-                    let next = ids.len() as u32;
-                    gid.push(*ids.entry(key).or_insert(next));
-                }
-                GroupCache {
-                    gid,
-                    groups: ids.len() as u32,
-                }
-            }
-        });
+            });
         // Bucket the input values by cached group id (pre-sized, one
-        // pass), aggregate each non-empty group, and fan the group value
-        // back out per row. Groups emptied by narrowing are skipped —
-        // they have no rows to receive a value, exactly as in a fresh
-        // evaluation where they no longer exist. When the input column
+        // pass) and aggregate each non-empty group. When the input column
         // is stable its values are read from the dense columnar buffer
-        // (built on first use, narrowed thereafter), skipping the
-        // per-tuple pointer chase through the row store.
+        // (built on first use, narrowed thereafter) instead of strided
+        // out of the row chunks.
         let dense: Option<&[Value]> = if input_stable {
             Some(
                 col_vals
                     .entry(col_idx)
-                    .or_insert_with(|| rows.iter().map(|t| *t.get(col_idx)).collect()),
+                    .or_insert_with(|| rows.column(col_idx)),
             )
         } else {
             None
@@ -637,7 +637,7 @@ impl CacheEntry {
             }
             None => {
                 for (&g, t) in gc.gid.iter().zip(rows) {
-                    inputs[g as usize].push(t.get(col_idx));
+                    inputs[g as usize].push(&t[col_idx]);
                 }
             }
         }
@@ -650,15 +650,33 @@ impl CacheEntry {
                 per_group[g] = v;
             }
         }
-        drop(inputs);
-        for (r, row) in canonical.rows_mut().iter_mut().enumerate() {
-            row.set(idx, per_group[gc.gid[r] as usize]);
+        Ok((basis_idx, per_group, ty))
+    }
+
+    /// Re-aggregate `func(column)` through [`Self::aggregate_grouped`]
+    /// and write the refreshed values straight into column `idx` of both
+    /// the canonical and the derived relation (through `perm`), setting
+    /// both schemas' static type — one fused pass, no intermediate
+    /// column materialization.
+    fn refresh_aggregate_grouped(
+        &mut self,
+        idx: usize,
+        func: AggFunc,
+        column: &str,
+        basis: &[String],
+        perm: &[u32],
+        input_stable: bool,
+    ) -> Result<()> {
+        let (key, per_group, ty) = self.aggregate_grouped(func, column, basis, input_stable)?;
+        let gid = &self.groups[&key].gid;
+        for (r, row) in self.canonical.rows_mut().iter_mut().enumerate() {
+            row[idx] = per_group[gid[r] as usize];
         }
-        for (j, row) in derived.data.rows_mut().iter_mut().enumerate() {
-            row.set(idx, per_group[gc.gid[perm[j] as usize] as usize]);
+        for (j, row) in self.derived.data.rows_mut().iter_mut().enumerate() {
+            row[idx] = per_group[gid[perm[j] as usize] as usize];
         }
-        canonical.schema_mut().set_column_type(idx, ty);
-        derived.data.schema_mut().set_column_type(idx, ty);
+        self.canonical.schema_mut().set_column_type(idx, ty);
+        self.derived.data.schema_mut().set_column_type(idx, ty);
         Ok(())
     }
 
@@ -679,18 +697,17 @@ impl CacheEntry {
             // per row, no row sort, no string comparisons. Same symbol ⇒
             // same key and rank order ⇒ lexicographic order, so the keys
             // satisfy the same contract as dense ranks.
-            let all_str =
-                !rows.is_empty() && rows.iter().all(|t| matches!(t.get(idx), Value::Str(_)));
+            let all_str = !rows.is_empty() && rows.iter().all(|t| matches!(t[idx], Value::Str(_)));
             if all_str {
                 let snap = ssa_relation::intern::rank_snapshot();
                 rows.iter()
-                    .map(|t| match t.get(idx) {
+                    .map(|t| match t[idx] {
                         Value::Str(s) => snap[s.id() as usize],
                         _ => unreachable!("checked all-string above"),
                     })
                     .collect()
             } else {
-                let vals: Vec<&Value> = rows.iter().map(|t| t.get(idx)).collect();
+                let vals: Vec<&Value> = rows.iter().map(|t| &t[idx]).collect();
                 let mut order: Vec<u32> = (0..vals.len() as u32).collect();
                 order.sort_by(|&a, &b| vals[a as usize].cmp(vals[b as usize]));
                 let mut ranks = vec![0u32; vals.len()];
@@ -831,8 +848,9 @@ impl CacheEntry {
     /// state ([`stage_base_rows`], which also drops those failing another
     /// selection or the replacement), an incomparable replacement also
     /// filters the cached rows, and both are merged into canonical order
-    /// by base id in one pass. Tuples move, never copy; the group and
-    /// column caches extend through the same merge. The presentation
+    /// by base id in one pass, copying each returning row once, from the
+    /// staged chunks into the rebuilt ones; the group and column caches
+    /// extend through the same merge. The presentation
     /// order under the cached spec is a merge too: the returning rows
     /// are sorted among themselves and merged into the surviving
     /// permutation (ties by canonical position, as the full pipeline's
@@ -880,8 +898,11 @@ impl CacheEntry {
             Some(p) if !old.implies(p) => Some(filter_relation(&self.canonical, p)?),
             _ => None,
         };
-        let staged = stage_base_rows(self.canonical.schema(), base, candidates.clone(), state)?;
-        let mut back = staged.iter().map(|&(b, _)| b).peekable();
+        let (staged_ids, staged) =
+            stage_base_rows(self.canonical.schema(), base, candidates.clone(), state)?;
+        // The staged rows, resolved once for the merges and sorts below.
+        let staged_rows: Vec<&[Value]> = staged.rows().iter().collect();
+        let mut back = staged_ids.iter().copied().peekable();
         let still_out: Vec<u32> = candidates
             .iter()
             .copied()
@@ -890,16 +911,17 @@ impl CacheEntry {
 
         // One pass over the cached base ids: where each cached row goes
         // (`remap`, u32::MAX when an incomparable replacement drops it)
-        // and where each staged row lands in the merged canonical order.
-        let mut merged_ids: Vec<u32> = Vec::with_capacity(ids.len() + staged.len());
-        let mut inserts: Vec<(usize, Tuple)> = Vec::with_capacity(staged.len());
+        // and where each staged row lands in the merged canonical order:
+        // `inserts` pairs a merged position with a staged row index.
+        let mut merged_ids: Vec<u32> = Vec::with_capacity(ids.len() + staged_ids.len());
+        let mut inserts: Vec<(usize, usize)> = Vec::with_capacity(staged_ids.len());
         let mut remap = vec![u32::MAX; ids.len()];
         let mut dropped: Vec<u32> = Vec::new();
-        let mut staged = staged.into_iter().peekable();
+        let mut staged_iter = staged_ids.iter().copied().enumerate().peekable();
         let mut kept = keep.as_deref().map(|k| k.iter().peekable());
         for (i, &b) in ids.iter().enumerate() {
-            while let Some((sb, row)) = staged.next_if(|&(sb, _)| sb < b) {
-                inserts.push((merged_ids.len(), row));
+            while let Some((k, sb)) = staged_iter.next_if(|&(_, sb)| sb < b) {
+                inserts.push((merged_ids.len(), k));
                 merged_ids.push(sb);
             }
             let stays = match kept.as_mut() {
@@ -913,8 +935,8 @@ impl CacheEntry {
                 dropped.push(b);
             }
         }
-        for (sb, row) in staged {
-            inserts.push((merged_ids.len(), row));
+        for (k, sb) in staged_iter {
+            inserts.push((merged_ids.len(), k));
             merged_ids.push(sb);
         }
         let len = merged_ids.len();
@@ -928,7 +950,7 @@ impl CacheEntry {
                 rep[g as usize].get_or_insert(i);
             }
             let rows = self.canonical.rows();
-            let key = |t: &Tuple| -> Vec<Value> { basis.iter().map(|&c| *t.get(c)).collect() };
+            let key = |t: &[Value]| -> Vec<Value> { basis.iter().map(|&c| t[c]).collect() };
             let mut by_key: BTreeMap<Vec<Value>, u32> = rep
                 .iter()
                 .enumerate()
@@ -940,13 +962,13 @@ impl CacheEntry {
                     gid[remap[i] as usize] = g;
                 }
             }
-            for (pos, row) in &inserts {
+            for &(pos, k) in &inserts {
                 let next = gc.groups;
-                let g = *by_key.entry(key(row)).or_insert(next);
+                let g = *by_key.entry(key(staged_rows[k])).or_insert(next);
                 if g == next {
                     gc.groups += 1;
                 }
-                gid[*pos] = g;
+                gid[pos] = g;
             }
             gc.gid = gid;
         }
@@ -957,8 +979,8 @@ impl CacheEntry {
                     merged[remap[i] as usize] = *v;
                 }
             }
-            for (pos, row) in &inserts {
-                merged[*pos] = *row.get(col);
+            for &(pos, k) in &inserts {
+                merged[pos] = staged_rows[k][col];
             }
             *vals = merged;
         }
@@ -970,9 +992,9 @@ impl CacheEntry {
         // The presentation order: the surviving permutation, renumbered,
         // merged with the returning rows sorted by the spec's keys.
         let sort_idx = resolve_sort_idx(&self.spec, &self.canonical)?;
-        let cmp = |a: (&Tuple, u32), b: (&Tuple, u32)| -> std::cmp::Ordering {
+        let cmp = |a: (&[Value], u32), b: (&[Value], u32)| -> std::cmp::Ordering {
             for &(i, desc) in &sort_idx {
-                let ord = a.0.get(i).cmp(b.0.get(i));
+                let ord = a.0[i].cmp(&b.0[i]);
                 let ord = if desc { ord.reverse() } else { ord };
                 if !ord.is_eq() {
                     return ord;
@@ -981,47 +1003,49 @@ impl CacheEntry {
             a.1.cmp(&b.1)
         };
         let mut fresh: Vec<usize> = (0..inserts.len()).collect();
-        fresh.sort_by(|&x, &y| {
-            let (px, rx) = &inserts[x];
-            let (py, ry) = &inserts[y];
-            cmp((rx, *px as u32), (ry, *py as u32))
-        });
+        let inserted = |x: usize| -> (&[Value], u32) {
+            let (p, k) = inserts[x];
+            (staged_rows[k], p as u32)
+        };
+        fresh.sort_by(|&x, &y| cmp(inserted(x), inserted(y)));
         let mut perm: Vec<u32> = Vec::with_capacity(len);
-        let mut derived_inserts: Vec<(usize, Tuple)> = Vec::with_capacity(inserts.len());
+        let mut derived_inserts: Vec<(usize, usize)> = Vec::with_capacity(inserts.len());
         {
             // Derived row j is canonical row old_perm[j]; walking the
             // derived rows reads them in memory order.
             let old_rows = self.derived.data.rows();
             let mut fresh = fresh.into_iter().peekable();
-            for (j, &c) in old_perm.iter().enumerate() {
+            for (&c, old_row) in old_perm.iter().zip(old_rows) {
                 let c_new = remap[c as usize];
                 if c_new == u32::MAX {
                     continue;
                 }
-                while let Some(x) = fresh.next_if(|&x| {
-                    let (p, r) = &inserts[x];
-                    cmp((r, *p as u32), (&old_rows[j], c_new)).is_lt()
-                }) {
-                    derived_inserts.push((perm.len(), inserts[x].1.clone()));
+                while let Some(x) = fresh.next_if(|&x| cmp(inserted(x), (old_row, c_new)).is_lt()) {
+                    derived_inserts.push((perm.len(), inserts[x].1));
                     perm.push(inserts[x].0 as u32);
                 }
                 perm.push(c_new);
             }
             for x in fresh {
-                derived_inserts.push((perm.len(), inserts[x].1.clone()));
+                derived_inserts.push((perm.len(), inserts[x].1));
                 perm.push(inserts[x].0 as u32);
             }
         }
-        // Move the tuples, never clone the cached ones: chunks before the
-        // first touched row stay shared.
+        // Chunks before the first touched row stay shared.
         if keep.is_some() {
             self.canonical.retain_rows(|i| remap[i] != u32::MAX);
             self.derived
                 .data
                 .retain_rows(|j| remap[old_perm[j] as usize] != u32::MAX);
         }
-        self.canonical.rows_mut().insert_sorted(inserts);
-        self.derived.data.rows_mut().insert_sorted(derived_inserts);
+        let staged_at = |&(at, k): &(usize, usize)| (at, staged_rows[k]);
+        self.canonical
+            .rows_mut()
+            .insert_sorted(inserts.iter().map(staged_at));
+        self.derived
+            .data
+            .rows_mut()
+            .insert_sorted(derived_inserts.iter().map(staged_at));
         self.base_ids = Some(merged_ids);
         let level_bases: Vec<Vec<String>> =
             self.spec.levels.iter().map(|l| l.basis.clone()).collect();
@@ -1160,7 +1184,7 @@ impl CacheEntry {
                     _ => {
                         let (values, _) = compute_column_values(&self.canonical, col)?;
                         for (row, v) in self.canonical.rows_mut().iter_mut().zip(&values) {
-                            row.set(idx, *v);
+                            row[idx] = *v;
                         }
                         refreshed.push(idx);
                     }
@@ -1183,7 +1207,7 @@ impl CacheEntry {
         for &idx in &refreshed {
             let canonical_rows = self.canonical.rows();
             for (j, row) in self.derived.data.rows_mut().iter_mut().enumerate() {
-                row.set(idx, *canonical_rows[perm[j] as usize].get(idx));
+                row[idx] = canonical_rows[perm[j] as usize][idx];
             }
         }
         // `result_schema` types each computed column by unifying its
@@ -1200,7 +1224,7 @@ impl CacheEntry {
                 .canonical
                 .rows()
                 .iter()
-                .fold(ValueType::Null, |t, r| t.unify(r.get(idx).value_type()));
+                .fold(ValueType::Null, |t, r| t.unify(r[idx].value_type()));
             self.canonical.schema_mut().set_column_type(idx, ty);
             self.derived.data.schema_mut().set_column_type(idx, ty);
         }
@@ -1257,6 +1281,35 @@ impl CacheEntry {
                 // canonical row, in order.
                 it.next().unwrap_or(Value::Null)
             })?;
+        Ok(())
+    }
+
+    /// Append an aggregate whose basis is stable (non-volatile): group
+    /// it through the cached group ids ([`Self::aggregate_grouped`])
+    /// instead of regrouping composite keys, then add the column to the
+    /// canonical and the derived relation (through the presentation
+    /// permutation) in one restride each.
+    fn append_aggregate_grouped(
+        &mut self,
+        name: &str,
+        func: AggFunc,
+        column: &str,
+        basis: &[String],
+        input_stable: bool,
+    ) -> Result<()> {
+        ssa_relation::fault_check!("delta.append");
+        let (key, per_group, ty) = self.aggregate_grouped(func, column, basis, input_stable)?;
+        let perm = self.perm.as_ref().ok_or_else(|| SheetError::Internal {
+            detail: "grouped append requires the presentation permutation".to_string(),
+        })?;
+        let gid = &self.groups[&key].gid;
+        self.derived
+            .data
+            .add_column(Column::new(name, ty), |j, _| {
+                per_group[gid[perm[j] as usize] as usize]
+            })?;
+        self.canonical
+            .add_column(Column::new(name, ty), |r, _| per_group[gid[r] as usize])?;
         Ok(())
     }
 
@@ -1324,7 +1377,7 @@ impl CacheEntry {
         &mut self,
         base: &Relation,
         base_idx: u32,
-        row: Tuple,
+        row: &[Value],
         state: &QueryState,
     ) -> Result<()> {
         let internal = |detail: &str| SheetError::Internal {
@@ -1353,7 +1406,7 @@ impl CacheEntry {
             if idx < base_len {
                 continue;
             }
-            let ty = col.ty.unify(row.get(idx).value_type());
+            let ty = col.ty.unify(row[idx].value_type());
             if ty != col.ty {
                 self.canonical.schema_mut().set_column_type(idx, ty);
                 self.derived.data.schema_mut().set_column_type(idx, ty);
@@ -1400,7 +1453,7 @@ impl CacheEntry {
         let p = perm.partition_point(|&c| {
             let existing = &rows[c as usize];
             for &(i, desc) in &sort_idx {
-                let ord = existing.get(i).cmp(new_row.get(i));
+                let ord = existing[i].cmp(&new_row[i]);
                 let ord = if desc { ord.reverse() } else { ord };
                 match ord {
                     std::cmp::Ordering::Less => return true,
@@ -1410,9 +1463,8 @@ impl CacheEntry {
             }
             (c as usize) < cpos
         });
-        let new_row = new_row.clone();
         perm.insert(p, cpos as u32);
-        derived.data.rows_mut().insert(p, new_row);
+        derived.data.rows_mut().insert(p, row);
         // Merge the new presentation row into the group tree: per level,
         // the absolute basis values identify (or create) its chain.
         let level_keys: Vec<Vec<(String, Value)>> = spec
@@ -1424,7 +1476,7 @@ impl CacheEntry {
                     .map(|b| {
                         Ok((
                             b.clone(),
-                            *canonical.rows()[cpos].get(canonical.schema().index_of(b)?),
+                            canonical.rows()[cpos][canonical.schema().index_of(b)?],
                         ))
                     })
                     .collect::<Result<Vec<_>>>()
@@ -1457,7 +1509,7 @@ impl CacheEntry {
                 .iter()
                 .map(|b| {
                     let bi = canonical.schema().index_of(b)?;
-                    Ok((bi, *canonical.rows()[cpos].get(bi)))
+                    Ok((bi, canonical.rows()[cpos][bi]))
                 })
                 .collect::<Result<Vec<_>>>()?;
             let use_accum = at_tail && Accum::new(*func).is_some();
@@ -1485,17 +1537,17 @@ impl CacheEntry {
                     let mut map: BTreeMap<Vec<Value>, Accum> = BTreeMap::new();
                     let basis_idx: Vec<usize> = target.iter().map(|&(i, _)| i).collect();
                     for r in canonical.rows().iter().take(cpos) {
-                        let key: Vec<Value> = basis_idx.iter().map(|&i| *r.get(i)).collect();
+                        let key: Vec<Value> = basis_idx.iter().map(|&i| r[i]).collect();
                         let acc = map
                             .entry(key)
                             .or_insert_with(|| Accum::new(*func).unwrap_or(Accum::Count(0)));
-                        acc.push(r.get(in_idx))?;
+                        acc.push(&r[in_idx])?;
                     }
                     slot.insert(map)
                 }
             };
             let key: Vec<Value> = target.iter().map(|&(_, v)| v).collect();
-            let input = *canonical.rows()[cpos].get(in_idx);
+            let input = canonical.rows()[cpos][in_idx];
             match map.entry(key) {
                 std::collections::btree_map::Entry::Occupied(mut e) => {
                     let acc = e.get_mut();
@@ -1506,12 +1558,12 @@ impl CacheEntry {
                         // Untouched group value: only the new row needs
                         // the cell (it is at the tail, so derived row p
                         // and canonical row cpos are the only writes).
-                        canonical.rows_mut()[cpos].set(idx, new);
-                        derived.data.rows_mut()[p].set(idx, new);
+                        canonical.rows_mut()[cpos][idx] = new;
+                        derived.data.rows_mut()[p][idx] = new;
                     } else {
                         for j in group_positions(canonical, perm, &sort_idx, &target) {
-                            derived.data.rows_mut()[j].set(idx, new);
-                            canonical.rows_mut()[perm[j] as usize].set(idx, new);
+                            derived.data.rows_mut()[j][idx] = new;
+                            canonical.rows_mut()[perm[j] as usize][idx] = new;
                         }
                         if old.value_type() != new.value_type() {
                             re_unify_column(canonical, &mut derived.data, idx);
@@ -1524,8 +1576,8 @@ impl CacheEntry {
                     );
                     acc.push(&input)?;
                     let v = acc.value()?;
-                    canonical.rows_mut()[cpos].set(idx, v);
-                    derived.data.rows_mut()[p].set(idx, v);
+                    canonical.rows_mut()[cpos][idx] = v;
+                    derived.data.rows_mut()[p][idx] = v;
                     let ty = canonical.schema().columns()[idx].ty.unify(v.value_type());
                     canonical.schema_mut().set_column_type(idx, ty);
                     derived.data.schema_mut().set_column_type(idx, ty);
@@ -1660,8 +1712,8 @@ impl CacheEntry {
                 .iter()
                 .position(|&c| c as usize == cpos)
                 .ok_or_else(|| internal("canonical row missing from permutation"))?;
-            canonical.rows_mut()[cpos].set(col_idx, newv);
-            derived.data.rows_mut()[j].set(col_idx, newv);
+            canonical.rows_mut()[cpos][col_idx] = newv;
+            derived.data.rows_mut()[j][col_idx] = newv;
             sort_keys.remove(&col_idx);
             col_vals.remove(&col_idx);
             groups.retain(|key, _| !key.contains(&col_idx));
@@ -1687,7 +1739,7 @@ impl CacheEntry {
                 .iter()
                 .map(|b| {
                     let bi = self.canonical.schema().index_of(b)?;
-                    Ok((bi, *self.canonical.rows()[cpos].get(bi)))
+                    Ok((bi, self.canonical.rows()[cpos][bi]))
                 })
                 .collect::<Result<Vec<_>>>()?;
             let CacheEntry {
@@ -2074,7 +2126,19 @@ impl Spreadsheet {
                         detail: format!("appended column `{name}` missing from state"),
                     });
                 };
-                entry.append_computed(col)?;
+                let volatile = volatile_columns(&self.state.computed);
+                match &col.def {
+                    ComputedDef::Aggregate {
+                        func,
+                        column,
+                        basis,
+                        ..
+                    } if entry.perm.is_some() && basis.iter().all(|b| !volatile.contains(b)) => {
+                        let input_stable = !volatile.contains(column);
+                        entry.append_aggregate_grouped(&name, *func, column, basis, input_stable)?
+                    }
+                    _ => entry.append_computed(col)?,
+                }
                 entry.content = content.clone();
                 if entry.spec != spec || entry.perm.is_none() {
                     entry.reorganize(&spec, visible.clone())?;
@@ -2574,7 +2638,8 @@ impl Spreadsheet {
         // A new row failing one selection alone is in no set-aside set.
         entry.rejected.clear();
         let ids = (first..first + count).map(|i| i as u32).collect();
-        for (id, row) in stage_base_rows(entry.canonical.schema(), base, ids, state)? {
+        let (ids, staged) = stage_base_rows(entry.canonical.schema(), base, ids, state)?;
+        for (&id, row) in ids.iter().zip(staged.rows()) {
             entry.insert_base_row(base, id, row, state)?;
         }
         Ok(())
@@ -2624,15 +2689,16 @@ impl Spreadsheet {
                     .iter()
                     .map(|b| {
                         let bi = entry.canonical.schema().index_of(b)?;
-                        Ok((bi, *entry.canonical.rows()[cpos].get(bi)))
+                        Ok((bi, entry.canonical.rows()[cpos][bi]))
                     })
                     .collect::<Result<Vec<_>>>()?;
                 old_targets[ci] = Some(target);
             }
             entry.remove_canonical_row(cpos)?;
         }
-        for (id, staged) in stage_base_rows(entry.canonical.schema(), base, vec![row], state)? {
-            entry.insert_base_row(base, id, staged, state)?;
+        let (ids, staged) = stage_base_rows(entry.canonical.schema(), base, vec![row], state)?;
+        for (&id, row) in ids.iter().zip(staged.rows()) {
+            entry.insert_base_row(base, id, row, state)?;
         }
         // Re-aggregate every old group unconditionally. Even when the
         // row re-enters the same group the fast "value unchanged" check

@@ -101,7 +101,7 @@ impl Dict {
             strings: Vec::new(),
         };
         for row in sheet.relation.rows() {
-            for v in row.values() {
+            for v in row.iter() {
                 if let Value::Str(s) = v {
                     dict.local_of.entry(s.id()).or_insert_with(|| {
                         dict.strings.push(s.as_str());
@@ -280,7 +280,7 @@ pub(crate) fn encode_with_vv(sheet: &StoredSheet, vv: &VersionVector) -> Result<
                 rows.iter()
                     .skip(first_row)
                     .take(end - first_row)
-                    .map(|t| &t.values()[col]),
+                    .map(|t| &t[col]),
             );
             let payload = chunk_payload(col as u32, first_row as u64, &page, &dict);
             let off = write_frame(&mut out, FrameKind::Chunk, &payload)?;

@@ -301,7 +301,7 @@ pub fn build_tree(data: &Relation, level_bases: &[Vec<String>]) -> GroupTree {
         // only once per group, not once per row.
         let same_key = |a: usize, b: usize| {
             let (ra, rb) = (&data.rows()[a], &data.rows()[b]);
-            idx.iter().all(|&i| ra.get(i) == rb.get(i))
+            idx.iter().all(|&i| ra[i] == rb[i])
         };
         let mut start = rows.start();
         while start < rows.end() {
@@ -316,7 +316,7 @@ pub fn build_tree(data: &Relation, level_bases: &[Vec<String>]) -> GroupTree {
                 basis
                     .iter()
                     .cloned()
-                    .zip(idx.iter().map(|&i| *data.rows()[start].get(i))),
+                    .zip(idx.iter().map(|&i| data.rows()[start][i])),
             );
             node.children.push(split(
                 data,
@@ -488,7 +488,7 @@ mod tests {
                     .iter()
                     .map(|a| {
                         let i = cars_sorted().schema().index_of(a).unwrap();
-                        (a.clone(), *row.get(i))
+                        (a.clone(), row[i])
                     })
                     .collect()
             })
@@ -496,7 +496,7 @@ mod tests {
         let mut t = two_level_tree();
         t.merge_insert(p, &level_keys);
         let mut data = cars_sorted();
-        data.rows_mut().insert(p, row);
+        data.rows_mut().insert(p, &row);
         assert_eq!(t, build_tree(&data, &bases), "insert at {p}");
     }
 

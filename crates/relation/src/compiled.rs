@@ -20,11 +20,17 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 use std::borrow::Cow;
 
-/// Row-shaped access by slot id. Implemented by [`Tuple`] (slot = column
-/// position) and by the evaluation engine's hybrid base-plus-computed-
+/// Row-shaped access by slot id. Implemented by a `[Value]` row and a
+/// [`Tuple`] (slot = column position) and by the evaluation engine's hybrid base-plus-computed-
 /// buffers row view.
 pub trait RowAccess {
     fn slot(&self, idx: usize) -> &Value;
+}
+
+impl RowAccess for [Value] {
+    fn slot(&self, idx: usize) -> &Value {
+        &self[idx]
+    }
 }
 
 impl RowAccess for Tuple {
@@ -39,23 +45,23 @@ impl RowAccess for [&Value] {
     }
 }
 
-/// Two tuples viewed as one concatenated row — left columns first, then
+/// Two rows viewed as one concatenated row — left columns first, then
 /// right. The join probe evaluates bound residual predicates on candidate
 /// pairs through this view, so non-matching pairs never materialize a
 /// concatenated [`Tuple`].
 #[derive(Clone, Copy)]
 pub struct PairRow<'a> {
-    pub left: &'a Tuple,
-    pub right: &'a Tuple,
+    pub left: &'a [Value],
+    pub right: &'a [Value],
     pub left_width: usize,
 }
 
 impl RowAccess for PairRow<'_> {
     fn slot(&self, idx: usize) -> &Value {
         if idx < self.left_width {
-            self.left.get(idx)
+            &self.left[idx]
         } else {
-            self.right.get(idx - self.left_width)
+            &self.right[idx - self.left_width]
         }
     }
 }

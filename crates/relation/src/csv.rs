@@ -8,8 +8,8 @@
 
 use crate::error::{RelationError, Result};
 use crate::relation::Relation;
+use crate::rows::Rows;
 use crate::schema::{Column, Schema};
-use crate::tuple::Tuple;
 use crate::value::{Value, ValueType};
 
 /// Split one CSV line into raw fields, honouring quotes. Public so
@@ -98,7 +98,7 @@ pub fn parse_csv_reader<R: std::io::BufRead>(name: &str, reader: R) -> Result<Re
         }
     };
     let names = split_line(&header, hno + 1)?;
-    let mut rows: Vec<Vec<Value>> = Vec::new();
+    let mut rows = Rows::new(names.len());
     // Running column types, unified as rows stream in; columns whose
     // values need a retroactive rewrite (to Str or Float) are flagged so
     // the EOF pass only touches columns that actually changed type.
@@ -115,13 +115,13 @@ pub fn parse_csv_reader<R: std::io::BufRead>(name: &str, reader: R) -> Result<Re
                 message: format!("expected {} fields, found {}", names.len(), fields.len()),
             });
         }
-        let row: Vec<Value> = fields.iter().map(|f| Value::infer_parse(f)).collect();
-        for (i, v) in row.iter().enumerate() {
-            types[i] = types[i].unify(v.value_type());
-        }
-        rows.push(row);
+        rows.push_values(fields.iter().zip(&mut types).map(|(f, ty)| {
+            let v = Value::infer_parse(f);
+            *ty = ty.unify(v.value_type());
+            v
+        }));
     }
-    for row in &mut rows {
+    for row in rows.iter_mut() {
         for (i, v) in row.iter_mut().enumerate() {
             if types[i] == ValueType::Str && !matches!(v, Value::Str(_) | Value::Null) {
                 *v = Value::from(v.to_string());
@@ -139,7 +139,7 @@ pub fn parse_csv_reader<R: std::io::BufRead>(name: &str, reader: R) -> Result<Re
             .map(|(n, t)| Column::new(n.clone(), *t))
             .collect(),
     )?;
-    Relation::with_rows(name, schema, rows.into_iter().map(Tuple::new).collect())
+    Relation::from_rows(name, schema, rows)
 }
 
 /// Load a CSV file through the streaming reader: the file is read in
@@ -167,7 +167,7 @@ pub fn to_csv(rel: &Relation) -> String {
     out.push_str(&names.join(","));
     out.push('\n');
     for t in rel.rows() {
-        let fields: Vec<String> = t.values().iter().map(|v| escape(&v.to_string())).collect();
+        let fields: Vec<String> = t.iter().map(|v| escape(&v.to_string())).collect();
         out.push_str(&fields.join(","));
         out.push('\n');
     }

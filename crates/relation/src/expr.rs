@@ -9,7 +9,6 @@
 
 use crate::error::{RelationError, Result};
 use crate::schema::Schema;
-use crate::tuple::Tuple;
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -196,11 +195,11 @@ impl Expr {
     }
 
     /// Evaluate the expression against one row.
-    pub fn eval(&self, schema: &Schema, tuple: &Tuple) -> Result<Value> {
+    pub fn eval(&self, schema: &Schema, tuple: &[Value]) -> Result<Value> {
         match self {
             Expr::Col(name) => {
                 let idx = schema.index_of(name)?;
-                Ok(*tuple.get(idx))
+                Ok(tuple[idx])
             }
             Expr::Lit(v) => Ok(*v),
             Expr::Arith(a, op, b) => {
@@ -279,7 +278,7 @@ impl Expr {
     /// Any other value is a malformed condition and raises
     /// [`RelationError::NotBoolean`] so the interface can report the
     /// condition itself rather than silently dropping every row.
-    pub fn matches(&self, schema: &Schema, tuple: &Tuple) -> Result<bool> {
+    pub fn matches(&self, schema: &Schema, tuple: &[Value]) -> Result<bool> {
         match self.eval(schema, tuple)? {
             Value::Bool(b) => Ok(b),
             Value::Null => Ok(false),
@@ -594,6 +593,7 @@ impl fmt::Display for Expr {
 mod tests {
     use super::*;
     use crate::tuple;
+    use crate::tuple::Tuple;
     use crate::value::ValueType::*;
 
     fn schema() -> Schema {

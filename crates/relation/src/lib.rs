@@ -63,5 +63,5 @@ pub use intern::Sym;
 pub use relation::{ColumnSlice, Relation};
 pub use rows::Rows;
 pub use schema::{Column, Schema};
-pub use tuple::Tuple;
+pub use tuple::{RowValues, Tuple};
 pub use value::{Value, ValueType};

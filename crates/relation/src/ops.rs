@@ -12,6 +12,7 @@ use crate::error::{RelationError, Result};
 use crate::expr::Expr;
 use crate::par::{chunk_map, PARALLEL_THRESHOLD};
 use crate::relation::Relation;
+use crate::rows::Rows;
 use crate::schema::{Column, Schema};
 use crate::tuple::Tuple;
 use crate::value::{Value, ValueType};
@@ -22,7 +23,7 @@ pub fn select(rel: &Relation, condition: &Expr) -> Result<Relation> {
     let mut out = Relation::new(rel.name(), rel.schema().clone());
     for t in rel.rows() {
         if condition.matches(rel.schema(), t)? {
-            out.insert(t.clone())?;
+            out.rows_mut().push(t);
         }
     }
     Ok(out)
@@ -43,7 +44,7 @@ pub fn project(rel: &Relation, columns: &[&str]) -> Result<Relation> {
     )?;
     let mut out = Relation::new(rel.name(), schema);
     for t in rel.rows() {
-        out.insert(t.project(&indices))?;
+        out.rows_mut().push_values(indices.iter().map(|&i| t[i]));
     }
     Ok(out)
 }
@@ -75,21 +76,29 @@ pub fn product(left: &Relation, right: &Relation) -> Result<Relation> {
     crate::fault_check!("ops.product");
     let cardinality = left.len().saturating_mul(right.len());
     let lids: Vec<u32> = (0..left.len() as u32).collect();
-    let chunks = chunk_map(&lids, cardinality >= PARALLEL_THRESHOLD, |chunk| {
-        let mut rows = Vec::with_capacity(chunk.len() * right.len());
+    let arity = schema.len();
+    let parts = chunk_map(&lids, cardinality >= PARALLEL_THRESHOLD, |chunk| {
+        let mut rows = Rows::new(arity);
         for &li in chunk {
             let l = &left.rows()[li as usize];
             for r in right.rows() {
-                rows.push(l.concat(r));
+                rows.push_values(l.iter().chain(r).copied());
             }
         }
         rows
     })?;
-    let mut rows = Vec::with_capacity(cardinality);
-    for c in chunks {
-        rows.extend(c);
+    Relation::from_rows(name, schema, concat_parts(arity, parts))
+}
+
+/// The rows of `parts`, in order: the first part's storage, extended by
+/// copies of the rest.
+fn concat_parts(arity: usize, parts: Vec<Rows>) -> Rows {
+    let mut parts = parts.into_iter();
+    let mut out = parts.next().unwrap_or_else(|| Rows::new(arity));
+    for part in parts {
+        out.extend(&part);
     }
-    Relation::with_rows(name, schema, rows)
+    out
 }
 
 /// ⋈ — join on an arbitrary condition evaluated over the concatenated row
@@ -240,11 +249,11 @@ fn hash_pairs(
         let mut table: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
         for &bi in chunk {
             let t = &build.rows()[bi as usize];
-            if build_keys.iter().any(|&k| t.get(k).is_null()) {
+            if build_keys.iter().any(|&k| t[k].is_null()) {
                 continue;
             }
             table
-                .entry(build_keys.iter().map(|&k| *t.get(k)).collect())
+                .entry(build_keys.iter().map(|&k| t[k]).collect())
                 .or_default()
                 .push(bi);
         }
@@ -266,11 +275,11 @@ fn hash_pairs(
             let mut key: Vec<Value> = Vec::with_capacity(probe_keys.len());
             for &pi in chunk {
                 let t = &probe.rows()[pi as usize];
-                if probe_keys.iter().any(|&k| t.get(k).is_null()) {
+                if probe_keys.iter().any(|&k| t[k].is_null()) {
                     continue;
                 }
                 key.clear();
-                key.extend(probe_keys.iter().map(|&k| *t.get(k)));
+                key.extend(probe_keys.iter().map(|&k| t[k]));
                 let Some(candidates) = table.get(key.as_slice()) else {
                     continue;
                 };
@@ -313,18 +322,12 @@ fn gather_pairs(
     right: &Relation,
     pairs: &[(u32, u32)],
 ) -> Result<Relation> {
-    let chunks = chunk_map(pairs, pairs.len() >= PARALLEL_THRESHOLD, |chunk| {
-        let mut rows = Vec::with_capacity(chunk.len());
-        for &(li, ri) in chunk {
-            rows.push(left.rows()[li as usize].concat(&right.rows()[ri as usize]));
-        }
-        rows
+    let parallel = pairs.len() >= PARALLEL_THRESHOLD;
+    let rows = Rows::build(schema.len(), pairs, parallel, |&(li, ri), row| {
+        row.extend_from_slice(&left.rows()[li as usize]);
+        row.extend_from_slice(&right.rows()[ri as usize]);
     })?;
-    let mut rows = Vec::with_capacity(pairs.len());
-    for c in chunks {
-        rows.extend(c);
-    }
-    Relation::with_rows(name, schema, rows)
+    Relation::from_rows(name, schema, rows)
 }
 
 /// ∪ — multiset union (UNION ALL): "the union of a tuple and its duplicate
@@ -333,10 +336,11 @@ fn gather_pairs(
 pub fn union_all(left: &Relation, right: &Relation) -> Result<Relation> {
     crate::fault_check!("ops.union");
     let mapping = alignment(left, right)?;
-    let mut rows = Vec::with_capacity(left.len() + right.len());
-    rows.extend(left.rows().iter().cloned());
-    rows.extend(right.rows().iter().map(|t| t.project(&mapping)));
-    Relation::with_rows(left.name(), left.schema().clone(), rows)
+    let mut out = left.clone();
+    for t in right.rows() {
+        out.rows_mut().push_values(mapping.iter().map(|&i| t[i]));
+    }
+    Ok(out)
 }
 
 /// − — multiset difference: `{t, t} − {t} = {t}` (Sec. III-B). Each tuple
@@ -348,29 +352,29 @@ pub fn difference(left: &Relation, right: &Relation) -> Result<Relation> {
     let mapping = alignment(left, right)?;
     let mut budget: HashMap<Tuple, usize> = HashMap::with_capacity(right.len());
     for t in right.rows() {
-        *budget.entry(t.project(&mapping)).or_insert(0) += 1;
+        *budget.entry(project_row(t, &mapping)).or_insert(0) += 1;
     }
-    let mut rows = Vec::new();
+    let mut out = Relation::new(left.name(), left.schema().clone());
     for t in left.rows() {
         match budget.get_mut(t) {
             Some(n) if *n > 0 => *n -= 1,
-            _ => rows.push(t.clone()),
+            _ => out.rows_mut().push(t),
         }
     }
-    Relation::with_rows(left.name(), left.schema().clone(), rows)
+    Ok(out)
 }
 
 /// δ — duplicate elimination (DISTINCT), preserving first-occurrence order
 /// via a hash set over the interned values.
 pub fn distinct(rel: &Relation) -> Result<Relation> {
-    let mut seen: HashSet<&Tuple> = HashSet::with_capacity(rel.len());
-    let mut rows = Vec::new();
+    let mut seen: HashSet<&[Value]> = HashSet::with_capacity(rel.len());
+    let mut out = Relation::new(rel.name(), rel.schema().clone());
     for t in rel.rows() {
         if seen.insert(t) {
-            rows.push(t.clone());
+            out.rows_mut().push(t);
         }
     }
-    Relation::with_rows(rel.name(), rel.schema().clone(), rows)
+    Ok(out)
 }
 
 /// Obvious-by-construction reference implementations of the operators the
@@ -394,7 +398,7 @@ pub mod oracle {
         let mut out = Relation::new(format!("{}_x_{}", left.name(), right.name()), schema);
         for l in left.rows() {
             for r in right.rows() {
-                out.insert(l.concat(r))?;
+                out.insert(Tuple::from(l).concat(&Tuple::from(r)))?;
             }
         }
         Ok(out)
@@ -405,10 +409,10 @@ pub mod oracle {
         let mapping = alignment(left, right)?;
         let mut out = Relation::new(left.name(), left.schema().clone());
         for t in left.rows() {
-            out.insert(t.clone())?;
+            out.insert(Tuple::from(t))?;
         }
         for t in right.rows() {
-            out.insert(t.project(&mapping))?;
+            out.insert(project_row(t, &mapping))?;
         }
         Ok(out)
     }
@@ -418,13 +422,13 @@ pub mod oracle {
         let mapping = alignment(left, right)?;
         let mut budget: BTreeMap<Tuple, usize> = BTreeMap::new();
         for t in right.rows() {
-            *budget.entry(t.project(&mapping)).or_insert(0) += 1;
+            *budget.entry(project_row(t, &mapping)).or_insert(0) += 1;
         }
         let mut out = Relation::new(left.name(), left.schema().clone());
         for t in left.rows() {
             match budget.get_mut(t) {
                 Some(n) if *n > 0 => *n -= 1,
-                _ => out.insert(t.clone())?,
+                _ => out.insert(Tuple::from(t))?,
             }
         }
         Ok(out)
@@ -435,8 +439,8 @@ pub mod oracle {
         let mut seen: BTreeMap<Tuple, ()> = BTreeMap::new();
         let mut out = Relation::new(rel.name(), rel.schema().clone());
         for t in rel.rows() {
-            if seen.insert(t.clone(), ()).is_none() {
-                out.insert(t.clone())?;
+            if seen.insert(Tuple::from(t), ()).is_none() {
+                out.insert(Tuple::from(t))?;
             }
         }
         Ok(out)
@@ -474,10 +478,10 @@ pub fn sort(rel: &Relation, keys: &[SortKey]) -> Result<Relation> {
         .iter()
         .map(|k| rel.schema().index_of(&k.column).map(|i| (i, k.ascending)))
         .collect::<Result<_>>()?;
-    let mut rows = rel.rows().to_vec();
-    rows.sort_by(|a, b| {
+    let mut out = rel.clone();
+    out.rows_mut().sort_by(|a, b| {
         for &(idx, asc) in &indices {
-            let ord = a.get(idx).cmp(b.get(idx));
+            let ord = a[idx].cmp(&b[idx]);
             let ord = if asc { ord } else { ord.reverse() };
             if !ord.is_eq() {
                 return ord;
@@ -485,7 +489,7 @@ pub fn sort(rel: &Relation, keys: &[SortKey]) -> Result<Relation> {
         }
         std::cmp::Ordering::Equal
     });
-    Relation::with_rows(rel.name(), rel.schema().clone(), rows)
+    Ok(out)
 }
 
 /// One aggregate output: function, input column (`None` = COUNT(*)), and
@@ -550,7 +554,7 @@ pub fn group_aggregate(rel: &Relation, group_by: &[&str], aggs: &[AggSpec]) -> R
     let mut order: Vec<Tuple> = Vec::new();
     let mut groups: BTreeMap<Tuple, Vec<usize>> = BTreeMap::new();
     for (ri, t) in rel.rows().iter().enumerate() {
-        let key = t.project(&group_idx);
+        let key = project_row(t, &group_idx);
         if !groups.contains_key(&key) {
             order.push(key.clone());
         }
@@ -563,7 +567,7 @@ pub fn group_aggregate(rel: &Relation, group_by: &[&str], aggs: &[AggSpec]) -> R
         let mut values = key.clone().into_values();
         for (spec, idx) in aggs.iter().zip(&agg_idx) {
             let inputs: Vec<Value> = match idx {
-                Some(i) => members.iter().map(|&ri| *rel.rows()[ri].get(*i)).collect(),
+                Some(i) => members.iter().map(|&ri| rel.rows()[ri][*i]).collect(),
                 // COUNT(*): one unit value per tuple
                 None => members.iter().map(|_| Value::Int(1)).collect(),
             };
@@ -591,6 +595,11 @@ pub fn extend(rel: &Relation, name: &str, expr: &Expr) -> Result<Relation> {
         iter.next().expect("row count is stable during extend")
     })?;
     Ok(out)
+}
+
+/// The values of `row` at `indices`, in that order, as an owned tuple.
+fn project_row(row: &[Value], indices: &[usize]) -> Tuple {
+    indices.iter().map(|&i| row[i]).collect::<Vec<_>>().into()
 }
 
 /// Column alignment mapping from `left`'s order into `right`'s indices,
@@ -635,7 +644,7 @@ mod tests {
     fn select_filters() {
         let r = select(&cars(), &Expr::col("Year").eq(Expr::lit(2005))).unwrap();
         assert_eq!(r.len(), 3);
-        assert!(r.rows().iter().all(|t| t.get(3) == &Value::Int(2005)));
+        assert!(r.rows().iter().all(|t| t[3] == Value::Int(2005)));
     }
 
     #[test]
@@ -713,7 +722,7 @@ mod tests {
         let cond = Expr::col("k").eq(Expr::col("j"));
         let j = join(&a, &b, &cond).unwrap();
         assert_eq!(j.len(), 2, "only k=1 matches j=1 twice");
-        assert!(j.rows().iter().all(|t| t.get(0) == &Value::Int(1)));
+        assert!(j.rows().iter().all(|t| t[0] == Value::Int(1)));
         assert_eq!(j.rows(), oracle::join(&a, &b, &cond).unwrap().rows());
         // The forced nested loop agrees (it goes through sql_cmp).
         let n = join_nested(&a, &b, &cond).unwrap();
@@ -826,7 +835,7 @@ mod tests {
             Relation::with_rows(
                 r.name(),
                 r.schema().clone(),
-                r.rows().iter().take(n).cloned().collect(),
+                r.rows().iter().take(n).map(Tuple::from).collect(),
             )
             .unwrap()
         };
@@ -961,7 +970,7 @@ mod tests {
         )
         .unwrap();
         let d = distinct(&r).unwrap();
-        let xs: Vec<&Value> = d.rows().iter().map(|t| t.get(0)).collect();
+        let xs: Vec<&Value> = d.rows().iter().map(|t| &t[0]).collect();
         assert_eq!(xs, vec![&Value::Int(2), &Value::Int(1), &Value::Int(3)]);
     }
 
@@ -1003,7 +1012,7 @@ mod tests {
     #[test]
     fn sort_is_stable_multi_key() {
         let r = sort(&cars(), &[SortKey::asc("Model"), SortKey::desc("Price")]).unwrap();
-        let ids: Vec<&Value> = r.rows().iter().map(|t| t.get(0)).collect();
+        let ids: Vec<&Value> = r.rows().iter().map(|t| &t[0]).collect();
         assert_eq!(
             ids,
             vec![
@@ -1030,10 +1039,10 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert_eq!(r.schema().names(), vec!["Model", "Avg_Price", "N"]);
         // groups appear in first-appearance order: Jetta then Civic
-        assert_eq!(r.rows()[0].get(0), &Value::str("Jetta"));
-        assert_eq!(r.rows()[0].get(1), &Value::Float(15500.0));
-        assert_eq!(r.rows()[0].get(2), &Value::Int(3));
-        assert_eq!(r.rows()[1].get(1), &Value::Float(14250.0));
+        assert_eq!(&r.rows()[0][0], &Value::str("Jetta"));
+        assert_eq!(&r.rows()[0][1], &Value::Float(15500.0));
+        assert_eq!(&r.rows()[0][2], &Value::Int(3));
+        assert_eq!(&r.rows()[1][1], &Value::Float(14250.0));
     }
 
     #[test]
@@ -1045,7 +1054,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.len(), 1);
-        assert_eq!(r.rows()[0].get(0), &Value::Int(17000));
+        assert_eq!(&r.rows()[0][0], &Value::Int(17000));
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! A [`Relation`] keeps its tuples in insertion order — callers that need a
 //! particular presentation order sort explicitly. Multiset semantics follow
 //! the paper (Sec. III-B): duplicates are kept by projection and set
-//! operators, and `{t, t} − {t} = {t}`. The tuples live in chunked
-//! copy-on-write [`Rows`], so a clone is `O(rows / CHUNK_ROWS)` and an
-//! edit of a shared relation copies only the chunks it touches.
+//! operators, and `{t, t} − {t} = {t}`. The tuples live flat in chunked
+//! copy-on-write [`Rows`], so a clone is `O(rows / CHUNK_ROWS)`, an edit
+//! of a shared relation copies only the chunks it touches, and rows are
+//! read as `&[Value]` slices.
 
 use crate::error::{RelationError, Result};
 use crate::intern::Sym;
@@ -33,8 +34,8 @@ impl Relation {
     pub fn new(name: impl Into<String>, schema: Schema) -> Relation {
         Relation {
             name: name.into(),
+            rows: Rows::new(schema.len()),
             schema,
-            rows: Rows::new(),
         }
     }
 
@@ -47,6 +48,24 @@ impl Relation {
         let mut r = Relation::new(name, schema);
         r.append_rows(rows)?;
         Ok(r)
+    }
+
+    /// Create a relation over rows already in storage.
+    pub fn from_rows(name: impl Into<String>, schema: Schema, rows: Rows) -> Result<Relation> {
+        if rows.arity() != schema.len() {
+            return Err(RelationError::TypeMismatch {
+                context: format!(
+                    "rows of width {} for a {}-column schema",
+                    rows.arity(),
+                    schema.len()
+                ),
+            });
+        }
+        Ok(Relation {
+            name: name.into(),
+            schema,
+            rows,
+        })
     }
 
     /// Create a relation from column vectors — the transpose step of a
@@ -73,8 +92,9 @@ impl Relation {
             });
         }
         let mut r = Relation::new(name, schema);
-        r.rows
-            .extend((0..rows).map(|i| Tuple::new(columns.iter().map(|c| c[i]).collect())));
+        for i in 0..rows {
+            r.rows.push_values(columns.iter().map(|c| c[i]));
+        }
         Ok(r)
     }
 
@@ -133,15 +153,16 @@ impl Relation {
                 ),
             });
         }
-        self.rows.push(tuple);
+        self.rows.push(&tuple);
         Ok(())
     }
 
     /// Append a batch of tuples, validating every width **before** the
     /// first mutation so a bad batch leaves the relation untouched.
     /// String values were interned when the tuples were built, so the
-    /// append itself is a pure `memcpy`-class extend that copies at most
-    /// the shared tail chunk. Returns the index of the first appended row.
+    /// append itself copies values into the flat chunks, copying at most
+    /// the shared tail chunk first. Returns the index of the first
+    /// appended row.
     pub fn append_rows(&mut self, rows: Vec<Tuple>) -> Result<usize> {
         for t in &rows {
             if t.len() != self.schema.len() {
@@ -156,13 +177,7 @@ impl Relation {
             }
         }
         let first = self.rows.len();
-        if first == 0 {
-            // A fresh relation adopts the batch (its allocation, when it
-            // fits one chunk) instead of moving row by row.
-            self.rows = Rows::from(rows);
-        } else {
-            self.rows.extend(rows);
-        }
+        self.rows.extend(rows);
         Ok(first)
     }
 
@@ -190,7 +205,7 @@ impl Relation {
         let mut removed = Vec::with_capacity(indices.len());
         self.rows.retain(|i, t| {
             if drop[i] {
-                removed.push((i as u32, t.clone()));
+                removed.push((i as u32, Tuple::from(t)));
             }
             !drop[i]
         });
@@ -202,7 +217,7 @@ impl Relation {
     /// returned (ascending original indices).
     pub fn reinsert_rows(&mut self, removed: Vec<(u32, Tuple)>) {
         self.rows
-            .insert_sorted(removed.into_iter().map(|(i, t)| (i as usize, t)).collect());
+            .insert_sorted(removed.iter().map(|(i, t)| (*i as usize, t.values())));
     }
 
     /// Overwrite one cell, returning the previous value (for rollback).
@@ -214,10 +229,8 @@ impl Relation {
                 len: self.rows.len(),
             });
         }
-        let tuple = &mut self.rows[row];
-        let old = *tuple.get(idx);
-        tuple.set(idx, value);
-        Ok(old)
+        let cell = &mut self.rows[row][idx];
+        Ok(std::mem::replace(cell, value))
     }
 
     /// Value at (row, column-name).
@@ -227,13 +240,13 @@ impl Relation {
             row,
             len: self.rows.len(),
         })?;
-        Ok(tuple.get(idx))
+        Ok(&tuple[idx])
     }
 
     /// All values in a column, in row order.
     pub fn column_values(&self, column: &str) -> Result<Vec<Value>> {
         let idx = self.schema.index_of(column)?;
-        Ok(self.rows.iter().map(|t| *t.get(idx)).collect())
+        Ok(self.rows.column(idx))
     }
 
     /// Borrowed columnar view of one column: `O(1)` access to `&Value`s
@@ -250,49 +263,42 @@ impl Relation {
     /// Gather the rows at `indices` (in that order) into a new relation
     /// with the same name and schema. This is the single materialization
     /// point of the index-vector engine: evaluation carries `Vec<u32>` row
-    /// ids and only clones tuples here, once, at the end.
+    /// ids and only copies values here, once, at the end, into one flat
+    /// buffer per chunk ([`Rows::gather`]).
     pub fn take_rows(&self, indices: &[u32]) -> Relation {
         Relation {
             name: self.name.clone(),
             schema: self.schema.clone(),
-            rows: indices
-                .iter()
-                .map(|&i| self.rows[i as usize].clone())
-                .collect(),
+            rows: self.rows.gather(indices),
         }
     }
 
     /// Keep only the rows whose index satisfies `keep`, preserving order.
-    /// Surviving tuples of an unshared relation are moved, never cloned —
-    /// which is what makes narrowing a cached evaluation cheaper than
+    /// Chunks of an unshared relation are compacted in place — which is
+    /// what makes narrowing a cached evaluation cheaper than
     /// re-gathering.
     pub fn retain_rows(&mut self, mut keep: impl FnMut(usize) -> bool) {
         self.rows.retain(|i, _| keep(i));
     }
 
-    /// Add a column filled by `fill(row_index, tuple)`.
-    pub fn add_column<F>(&mut self, column: Column, mut fill: F) -> Result<()>
+    /// Add a column filled by `fill(row_index, row)`; every chunk is
+    /// restrided once.
+    pub fn add_column<F>(&mut self, column: Column, fill: F) -> Result<()>
     where
-        F: FnMut(usize, &Tuple) -> Value,
+        F: FnMut(usize, &[Value]) -> Value,
     {
         if self.schema.contains(&column.name) {
             return Err(RelationError::DuplicateColumn { name: column.name });
         }
         self.schema.push(column)?;
-        // One pass: `fill` sees each row before its new value lands.
-        for (i, t) in self.rows.iter_mut().enumerate() {
-            let v = fill(i, t);
-            t.push(v);
-        }
+        self.rows.push_column(fill);
         Ok(())
     }
 
     /// Remove a column and its values from every row.
     pub fn drop_column(&mut self, name: &str) -> Result<()> {
         let idx = self.schema.remove(name)?;
-        for t in self.rows.iter_mut() {
-            t.remove(idx);
-        }
+        self.rows.remove_column(idx);
         Ok(())
     }
 
@@ -323,7 +329,11 @@ impl Relation {
             .collect();
         let Some(mapping) = mapping else { return false };
         let mut a = self.rows.to_vec();
-        let mut b: Vec<Tuple> = other.rows.iter().map(|t| t.project(&mapping)).collect();
+        let mut b: Vec<Tuple> = other
+            .rows
+            .iter()
+            .map(|t| mapping.iter().map(|&i| t[i]).collect::<Vec<_>>().into())
+            .collect();
         a.sort();
         b.sort();
         a == b
@@ -364,7 +374,7 @@ impl Relation {
             return self.distinct_str_exact(idx);
         }
         if n <= DISTINCT_SAMPLE_BUDGET {
-            let mut vals: Vec<&Value> = self.rows.iter().map(|t| t.get(idx)).collect();
+            let mut vals: Vec<&Value> = self.rows.iter().map(|t| &t[idx]).collect();
             vals.sort();
             vals.dedup();
             return vals.len();
@@ -379,7 +389,7 @@ impl Relation {
         picked.sort_unstable();
         picked.dedup();
         let s = picked.len();
-        let mut vals: Vec<&Value> = picked.iter().map(|&r| self.rows[r].get(idx)).collect();
+        let mut vals: Vec<&Value> = picked.iter().map(|&r| &self.rows[r][idx]).collect();
         vals.sort();
         let (mut d, mut f1) = (0usize, 0usize);
         let mut i = 0;
@@ -412,7 +422,7 @@ impl Relation {
         // hand-built relation) fall back to a sorted side list.
         let mut other: Vec<&Value> = Vec::new();
         for t in &self.rows {
-            match t.get(idx) {
+            match &t[idx] {
                 Value::Str(s) => {
                     let id = s.id() as usize;
                     if id / 64 >= words.len() {
@@ -437,7 +447,7 @@ impl Relation {
     pub fn histogram(&self) -> BTreeMap<Tuple, usize> {
         let mut h = BTreeMap::new();
         for t in &self.rows {
-            *h.entry(t.clone()).or_insert(0) += 1;
+            *h.entry(Tuple::from(t)).or_insert(0) += 1;
         }
         h
     }
@@ -462,11 +472,11 @@ impl<'a> ColumnSlice<'a> {
 
     /// The value at `row` — borrowed, never cloned.
     pub fn get(&self, row: usize) -> &'a Value {
-        self.rows[row].get(self.idx)
+        &self.rows[row][self.idx]
     }
 
     pub fn iter(&self) -> impl Iterator<Item = &'a Value> + '_ {
-        self.rows.iter().map(move |t| t.get(self.idx))
+        self.rows.iter().map(move |t| &t[self.idx])
     }
 }
 
@@ -519,7 +529,7 @@ mod tests {
     fn add_and_drop_column() {
         let mut r = cars();
         r.add_column(Column::new("Discounted", Int), |_, t| {
-            t.get(2).sub(&Value::Int(500)).unwrap()
+            t[2].sub(&Value::Int(500)).unwrap()
         })
         .unwrap();
         assert_eq!(r.value_at(0, "Discounted").unwrap(), &Value::Int(14000));

@@ -1,15 +1,33 @@
-//! Chunked copy-on-write row storage.
+//! Chunked, flat, copy-on-write row storage.
 //!
-//! A relation's rows live in fixed-size chunks, each behind its own
-//! [`Arc`]. Cloning a [`Rows`] copies only the chunk list, so a relation
-//! shared with published snapshots (DESIGN.md §15) can be edited by its
-//! writer at the cost of the chunks the edit touches: an append copies at
-//! most the shared tail chunk, a cell update the one chunk holding the
-//! cell. Every chunk but the last holds exactly [`CHUNK_ROWS`] rows, so a
-//! row's chunk and offset are a shift and a mask of its index, and two
-//! `Rows` always cut their chunks at the same row positions.
+//! A relation's rows live in chunks of at most [`CHUNK_ROWS`] rows. A
+//! chunk is one flat `Vec<Value>` behind its own [`Arc`], holding its rows
+//! back to back with a stride of the relation's arity, plus an explicit
+//! row count (so a zero-column relation still knows its length). Reads
+//! hand out rows as `&[Value]` slices of that buffer; [`Tuple`] stays the
+//! owned row type for building rows and for appends.
+//!
+//! Cloning a [`Rows`] copies only the chunk list, so a relation shared
+//! with published snapshots (DESIGN.md §15) can be edited by its writer at
+//! the cost of the chunks the edit touches: an append copies at most the
+//! shared tail chunk, a cell update the one chunk holding the cell. A
+//! gather, an append, a copy or a drop costs one allocation per chunk, not
+//! one per row.
+//!
+//! Every chunk but the last is full until a single-row [`Rows::insert`]
+//! lands in a full chunk: that chunk splits in two rather than push a row
+//! through every later chunk. While the chunks are *uniform* (every one
+//! but the last full) a row's chunk and offset are a shift and a mask of
+//! its index; otherwise they are found by binary search over the chunk
+//! starts. [`Rows::retain`] likewise compacts only the chunks that lose
+//! rows, and tops up a chunk left less than half full from the chunks
+//! after it; [`Rows::insert_sorted`] rebuilds the chunks from its first
+//! index on into full chunks.
 
+use crate::error::Result;
+use crate::par::chunk_map;
 use crate::tuple::Tuple;
+use crate::value::Value;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
@@ -17,24 +35,76 @@ use std::sync::Arc;
 const CHUNK_SHIFT: usize = 12;
 const CHUNK_MASK: usize = CHUNK_ROWS - 1;
 
-/// Rows per storage chunk: every chunk but the last is exactly this full.
+/// Rows per storage chunk: no chunk holds more, and every chunk but the
+/// last holds exactly this many unless an insert split one.
 pub const CHUNK_ROWS: usize = 1 << CHUNK_SHIFT;
+
+/// One storage chunk: `rows` rows of `arity` values each, back to back.
+#[derive(Clone)]
+struct Chunk {
+    rows: usize,
+    values: Vec<Value>,
+}
+
+impl Chunk {
+    fn with_capacity(rows: usize, arity: usize) -> Chunk {
+        Chunk {
+            rows: 0,
+            values: Vec::with_capacity(rows * arity),
+        }
+    }
+
+    /// A chunk of one row per item, each written by `fill`, which must
+    /// push exactly `arity` values.
+    fn filled<T>(arity: usize, items: &[T], fill: impl Fn(&T, &mut Vec<Value>)) -> Chunk {
+        let mut values = Vec::with_capacity(items.len() * arity);
+        for item in items {
+            fill(item, &mut values);
+        }
+        assert_eq!(
+            values.len(),
+            items.len() * arity,
+            "row width does not match the arity"
+        );
+        Chunk {
+            rows: items.len(),
+            values,
+        }
+    }
+}
 
 /// The rows of a relation, in insertion order (see the module docs).
 ///
-/// Read it like a slice — `rows[i]`, [`Rows::get`], [`Rows::iter`],
-/// [`Rows::len`] — or chunk by chunk through [`Rows::chunks`] in hot
-/// loops. Equality and `Debug` are by content, exactly as for the
-/// `Vec<Tuple>` this type replaces.
-#[derive(Clone, Default)]
+/// Read it like a slice of rows — `rows[i][c]`, [`Rows::get`],
+/// [`Rows::iter`], [`Rows::len`]. Equality and `Debug` are by content:
+/// two `Rows` with the same rows are equal however their chunks are cut.
+#[derive(Clone)]
 pub struct Rows {
-    chunks: Vec<Arc<Vec<Tuple>>>,
+    arity: usize,
     len: usize,
+    chunks: Vec<Arc<Chunk>>,
+    /// The index of each chunk's first row.
+    starts: Vec<usize>,
+    /// Every chunk but the last holds exactly [`CHUNK_ROWS`] rows.
+    uniform: bool,
 }
 
 impl Rows {
-    pub fn new() -> Rows {
-        Rows::default()
+    /// No rows of `arity` values each.
+    pub fn new(arity: usize) -> Rows {
+        Rows {
+            arity,
+            len: 0,
+            chunks: Vec::new(),
+            starts: Vec::new(),
+            uniform: true,
+        }
+    }
+
+    /// The number of values in every row.
+    #[inline]
+    pub fn arity(&self) -> usize {
+        self.arity
     }
 
     #[inline]
@@ -47,286 +117,584 @@ impl Rows {
         self.len == 0
     }
 
+    /// The chunk holding row `i < len` and the row's offset in it.
+    #[inline]
+    fn locate(&self, i: usize) -> (usize, usize) {
+        if self.uniform {
+            (i >> CHUNK_SHIFT, i & CHUNK_MASK)
+        } else {
+            let k = self.starts.partition_point(|&s| s <= i) - 1;
+            (k, i - self.starts[k])
+        }
+    }
+
     /// The row at `i`, or `None` past the end.
     #[inline]
-    pub fn get(&self, i: usize) -> Option<&Tuple> {
-        self.chunks.get(i >> CHUNK_SHIFT)?.get(i & CHUNK_MASK)
+    pub fn get(&self, i: usize) -> Option<&[Value]> {
+        (i < self.len).then(|| &self[i])
     }
 
     #[inline]
     pub fn iter(&self) -> Iter<'_> {
         Iter {
+            arity: self.arity,
             chunks: self.chunks.iter(),
-            front: [].iter(),
-            back: [].iter(),
+            front: ChunkIter::EMPTY,
+            back: ChunkIter::EMPTY,
         }
     }
 
-    /// The rows as consecutive slices of at most [`CHUNK_ROWS`] rows —
-    /// the fast path for loops that touch every row.
-    #[inline]
-    pub fn chunks(&self) -> impl DoubleEndedIterator<Item = &[Tuple]> + ExactSizeIterator + '_ {
-        self.chunks.iter().map(|c| c.as_slice())
+    /// The row count of each chunk, in order.
+    pub fn chunk_lens(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.chunks.iter().map(|c| c.rows)
     }
 
-    /// Every row written through a mutable reference; copies each shared
+    /// Every row written through a mutable slice; copies each shared
     /// chunk first.
     pub fn iter_mut(&mut self) -> IterMut<'_> {
         IterMut {
+            arity: self.arity,
             chunks: self.chunks.iter_mut(),
-            front: [].iter_mut(),
+            values: &mut [],
+            rows: 0,
         }
     }
 
+    /// The rows as owned tuples.
     pub fn to_vec(&self) -> Vec<Tuple> {
+        self.iter().map(Tuple::from).collect()
+    }
+
+    /// The values of column `c`, in row order.
+    pub fn column(&self, c: usize) -> Vec<Value> {
+        assert!(
+            c < self.arity,
+            "column {c} out of range for arity {}",
+            self.arity
+        );
         let mut out = Vec::with_capacity(self.len);
+        for chunk in &self.chunks {
+            out.extend(chunk.values.iter().skip(c).step_by(self.arity));
+        }
+        out
+    }
+
+    /// Recompute the chunk starts, the row count and the uniform flag
+    /// after the chunk list changed shape.
+    fn reindex(&mut self) {
+        self.starts.clear();
+        let mut at = 0;
         for c in &self.chunks {
-            out.extend_from_slice(c);
+            self.starts.push(at);
+            at += c.rows;
         }
-        out
+        self.len = at;
+        let last = self.chunks.len().saturating_sub(1);
+        self.uniform = self.chunks[..last].iter().all(|c| c.rows == CHUNK_ROWS);
     }
 
-    /// The rows as one vector, moving them out of unshared chunks.
-    fn into_vec(self) -> Vec<Tuple> {
-        let mut out = Vec::with_capacity(self.len);
-        for c in self.chunks {
-            out.extend(Arc::unwrap_or_clone(c));
+    /// Append a finished chunk (non-empty, at most [`CHUNK_ROWS`] rows)
+    /// after a full tail, or after no chunk at all.
+    fn push_chunk(&mut self, chunk: Chunk) {
+        debug_assert!(chunk.rows > 0 && chunk.rows <= CHUNK_ROWS);
+        debug_assert_eq!(chunk.values.len(), chunk.rows * self.arity);
+        if self.chunks.last().is_some_and(|c| c.rows < CHUNK_ROWS) {
+            self.uniform = false;
         }
-        out
+        self.starts.push(self.len);
+        self.len += chunk.rows;
+        self.chunks.push(Arc::new(chunk));
     }
 
-    pub fn push(&mut self, row: Tuple) {
-        match self.chunks.last_mut() {
-            Some(tail) if tail.len() < CHUNK_ROWS => Arc::make_mut(tail).push(row),
-            _ => self.chunks.push(Arc::new(vec![row])),
+    /// The tail chunk, copied if shared, after opening a new one if the
+    /// tail is full. A new chunk reserves `hint` rows, or a whole chunk
+    /// once a full one exists: rows are then arriving in bulk, and the
+    /// buffer need not grow by doubling.
+    fn tail_with_room(&mut self, hint: usize) -> &mut Chunk {
+        if self.chunks.last().is_none_or(|c| c.rows == CHUNK_ROWS) {
+            let rows = if self.chunks.is_empty() {
+                hint
+            } else {
+                CHUNK_ROWS
+            };
+            let rows = rows.clamp(1, CHUNK_ROWS);
+            self.starts.push(self.len);
+            self.chunks
+                .push(Arc::new(Chunk::with_capacity(rows, self.arity)));
         }
+        let tail = self
+            .chunks
+            .last_mut()
+            .expect("a tail chunk was just ensured");
+        Arc::make_mut(tail)
+    }
+
+    /// Append one row.
+    ///
+    /// # Panics
+    /// If the row does not have [`Rows::arity`] values.
+    pub fn push(&mut self, row: &[Value]) {
+        assert_eq!(row.len(), self.arity, "row width does not match the arity");
+        let tail = self.tail_with_room(1);
+        tail.values.extend_from_slice(row);
+        tail.rows += 1;
         self.len += 1;
     }
 
-    /// Insert `row` before position `pos`, shifting later rows up by one.
-    /// Each chunk from `pos` on passes its last row to the next, so the
-    /// cost is one chunk-sized move per later chunk and nothing is
-    /// reallocated.
+    /// Append one row given as its values in order — the way to append a
+    /// concatenated or projected row without building a [`Tuple`].
     ///
     /// # Panics
-    /// If `pos > len`, like [`Vec::insert`].
-    pub fn insert(&mut self, pos: usize, row: Tuple) {
+    /// If `values` does not yield [`Rows::arity`] values.
+    pub fn push_values(&mut self, values: impl IntoIterator<Item = Value>) {
+        let arity = self.arity;
+        let tail = self.tail_with_room(1);
+        let before = tail.values.len();
+        tail.values.extend(values);
+        assert_eq!(
+            tail.values.len() - before,
+            arity,
+            "row width does not match the arity"
+        );
+        tail.rows += 1;
+        self.len += 1;
+    }
+
+    /// The rows at `indices`, in that order, as new storage: one flat
+    /// buffer per chunk, filled by copying each row's values.
+    ///
+    /// # Panics
+    /// If an index is out of range.
+    pub fn gather(&self, indices: &[u32]) -> Rows {
+        let mut out = Rows::new(self.arity);
+        for ids in indices.chunks(CHUNK_ROWS) {
+            out.push_chunk(Chunk::filled(self.arity, ids, |&i, values| {
+                values.extend_from_slice(&self[i as usize])
+            }));
+        }
+        out
+    }
+
+    /// One row per item, in item order, each written by `fill`, which
+    /// must push exactly `arity` values. With `parallel` the items are
+    /// split across threads at chunk boundaries (see [`chunk_map`]), so
+    /// the chunks come out cut exactly as a sequential build cuts them.
+    ///
+    /// # Errors
+    /// [`crate::RelationError::WorkerPanicked`] if `fill` panics, or
+    /// pushes the wrong number of values.
+    pub fn build<T: Sync>(
+        arity: usize,
+        items: &[T],
+        parallel: bool,
+        fill: impl Fn(&T, &mut Vec<Value>) + Sync,
+    ) -> Result<Rows> {
+        let groups: Vec<&[T]> = items.chunks(CHUNK_ROWS).collect();
+        let parts = chunk_map(&groups, parallel, |groups| {
+            groups
+                .iter()
+                .map(|group| Chunk::filled(arity, group, &fill))
+                .collect::<Vec<_>>()
+        })?;
+        let mut out = Rows::new(arity);
+        for chunk in parts.into_iter().flatten() {
+            out.push_chunk(chunk);
+        }
+        Ok(out)
+    }
+
+    /// Insert `row` before position `pos`, shifting later rows up by one.
+    /// Only the chunk that receives the row is touched: if it has room
+    /// the row is spliced in, and if it is full it splits into two
+    /// half-full chunks first, so the cost is one chunk-sized move
+    /// whatever the position.
+    ///
+    /// # Panics
+    /// If `pos > len`, like [`Vec::insert`], or if the row does not have
+    /// [`Rows::arity`] values.
+    pub fn insert(&mut self, pos: usize, row: &[Value]) {
         assert!(
             pos <= self.len,
             "insertion index {pos} out of range for {} rows",
             self.len
         );
-        let mut k = pos >> CHUNK_SHIFT;
-        let mut at = pos & CHUNK_MASK;
-        let mut carry = row;
-        loop {
-            if k == self.chunks.len() {
-                self.chunks.push(Arc::new(vec![carry]));
-                break;
-            }
-            let chunk = Arc::make_mut(&mut self.chunks[k]);
-            let spill = if chunk.len() == CHUNK_ROWS {
-                chunk.pop()
-            } else {
-                None
-            };
-            chunk.insert(at, carry);
-            match spill {
-                Some(next) => carry = next,
-                None => break,
-            }
-            k += 1;
-            at = 0;
+        assert_eq!(row.len(), self.arity, "row width does not match the arity");
+        if pos == self.len {
+            self.push(row);
+            return;
         }
-        self.len += 1;
+        let (k, at) = self.locate(pos);
+        let arity = self.arity;
+        let splice = |chunk: &mut Chunk, at: usize| {
+            chunk
+                .values
+                .splice(at * arity..at * arity, row.iter().copied());
+            chunk.rows += 1;
+        };
+        if self.chunks[k].rows < CHUNK_ROWS {
+            splice(Arc::make_mut(&mut self.chunks[k]), at);
+            for s in &mut self.starts[k + 1..] {
+                *s += 1;
+            }
+            self.len += 1;
+            return;
+        }
+        // Each half gets room to fill up again, so later inserts
+        // reallocate neither; an unshared chunk's buffer becomes the left
+        // half, a shared one is copied half by half, never whole.
+        let half = CHUNK_ROWS / 2;
+        let half_of = |values: &[Value], rows: usize| Chunk {
+            rows,
+            values: {
+                let mut v = Vec::with_capacity(CHUNK_ROWS * arity);
+                v.extend_from_slice(values);
+                v
+            },
+        };
+        let (mut left, mut right) = match Arc::try_unwrap(self.chunks.remove(k)) {
+            Ok(mut whole) => {
+                let right = half_of(&whole.values[half * arity..], whole.rows - half);
+                whole.values.truncate(half * arity);
+                whole.rows = half;
+                (whole, right)
+            }
+            Err(shared) => (
+                half_of(&shared.values[..half * arity], half),
+                half_of(&shared.values[half * arity..], shared.rows - half),
+            ),
+        };
+        if at <= half {
+            splice(&mut left, at);
+        } else {
+            splice(&mut right, at - half);
+        }
+        self.chunks.splice(k..k, [Arc::new(left), Arc::new(right)]);
+        self.reindex();
     }
 
     /// Keep only the rows for which `keep(index, row)` holds, preserving
     /// order; `keep` sees every row once, in order. Chunks before the
-    /// first dropped row stay shared. From there on each chunk is
-    /// filtered in place (copied first if shared) and the survivors are
-    /// packed back into full chunks, reusing the chunks' allocations.
-    pub fn retain(&mut self, mut keep: impl FnMut(usize, &Tuple) -> bool) {
-        let mut first_drop = None;
-        'scan: for (k, chunk) in self.chunks.iter().enumerate() {
-            for (j, row) in chunk.iter().enumerate() {
-                let i = (k << CHUNK_SHIFT) + j;
-                if !keep(i, row) {
-                    first_drop = Some(i);
-                    break 'scan;
+    /// first dropped row stay shared, and so does every later chunk that
+    /// loses no row and follows a chunk at least half full. A chunk that
+    /// loses rows is compacted in place (copied first if shared); one
+    /// left less than half full takes the next chunks' rows until it is
+    /// full. So removing a few rows costs the chunks they were in, and a
+    /// narrowing leaves every chunk but the last at least half full.
+    pub fn retain(&mut self, mut keep: impl FnMut(usize, &[Value]) -> bool) {
+        let Some(first) = self.iter().enumerate().position(|(i, row)| !keep(i, row)) else {
+            return;
+        };
+        let arity = self.arity;
+        let (k, _) = self.locate(first);
+        let mut i = self.starts[k];
+        let tail = self.chunks.split_off(k);
+        let mut open: Option<Chunk> = None;
+        let mut kept = Vec::with_capacity(CHUNK_ROWS);
+        for arc in tail {
+            kept.clear();
+            for row in ChunkIter::new(&arc, arity) {
+                kept.push(i < first || (i > first && keep(i, row)));
+                i += 1;
+            }
+            let open_settled = open.as_ref().is_none_or(|c| c.rows >= CHUNK_ROWS / 2);
+            if open_settled && kept.iter().all(|&k| k) {
+                // Nothing to drop and nothing to fill: share the chunk.
+                if let Some(fill) = open.take() {
+                    self.chunks.push(Arc::new(fill));
+                }
+                self.chunks.push(arc);
+                continue;
+            }
+            let mut chunk = Arc::unwrap_or_clone(arc);
+            let mut rows = 0;
+            for (r, _) in kept.iter().enumerate().filter(|(_, &k)| k) {
+                chunk
+                    .values
+                    .copy_within(r * arity..(r + 1) * arity, rows * arity);
+                rows += 1;
+            }
+            chunk.values.truncate(rows * arity);
+            chunk.rows = rows;
+            if rows == 0 {
+                continue;
+            }
+            match open.take() {
+                None => open = Some(chunk),
+                Some(fill) if fill.rows >= CHUNK_ROWS / 2 => {
+                    self.chunks.push(Arc::new(fill));
+                    open = Some(chunk);
+                }
+                Some(mut fill) => {
+                    let room = CHUNK_ROWS - fill.rows;
+                    if chunk.rows <= room {
+                        fill.values.append(&mut chunk.values);
+                        fill.rows += chunk.rows;
+                        open = Some(fill);
+                    } else {
+                        fill.values.extend(chunk.values.drain(..room * arity));
+                        fill.rows = CHUNK_ROWS;
+                        chunk.rows -= room;
+                        self.chunks.push(Arc::new(fill));
+                        open = Some(chunk);
+                    }
                 }
             }
         }
-        let Some(first) = first_drop else { return };
-        let k = first >> CHUNK_SHIFT;
-        let tail = self.chunks.split_off(k);
-        self.len = k << CHUNK_SHIFT;
-        let mut i = self.len;
-        let mut open: Option<Vec<Tuple>> = None;
-        for chunk in tail {
-            let mut rows = Arc::unwrap_or_clone(chunk);
-            rows.retain(|row| {
-                let at = i;
-                i += 1;
-                at < first || (at > first && keep(at, row))
-            });
-            let Some(mut fill) = open.take() else {
-                open = Some(rows);
-                continue;
-            };
-            let room = CHUNK_ROWS - fill.len();
-            if rows.len() < room {
-                fill.append(&mut rows);
-                open = Some(fill);
-            } else {
-                fill.extend(rows.drain(..room));
-                self.len += fill.len();
-                self.chunks.push(Arc::new(fill));
-                open = Some(rows);
-            }
-        }
-        if let Some(fill) = open.filter(|f| !f.is_empty()) {
-            self.len += fill.len();
+        if let Some(fill) = open {
             self.chunks.push(Arc::new(fill));
         }
+        self.reindex();
     }
 
     /// Sort the rows with a comparator (stable, like `slice::sort_by`).
-    pub fn sort_by(&mut self, compare: impl FnMut(&Tuple, &Tuple) -> std::cmp::Ordering) {
-        let mut rows = std::mem::take(self).into_vec();
-        rows.sort_by(compare);
-        *self = Rows::from(rows);
+    pub fn sort_by(&mut self, mut compare: impl FnMut(&[Value], &[Value]) -> std::cmp::Ordering) {
+        let mut order: Vec<u32> = (0..self.len as u32).collect();
+        order.sort_by(|&a, &b| compare(&self[a as usize], &self[b as usize]));
+        *self = self.gather(&order);
     }
 
-    /// Detach every row from chunk `k` on, returning them in order (moved
-    /// out of unshared chunks, cloned out of shared ones).
-    fn split_off_chunks(&mut self, k: usize) -> Vec<Tuple> {
-        let tail = self.chunks.split_off(k);
-        self.len = self.chunks.iter().map(|c| c.len()).sum();
-        let mut out = Vec::with_capacity(tail.iter().map(|c| c.len()).sum());
-        for c in tail {
-            out.extend(Arc::unwrap_or_clone(c));
-        }
-        out
-    }
-
-    /// Put `rows` back at their indices, given as ascending `(index, row)`
-    /// pairs in the final numbering (the inverse of removing them).
-    /// Chunks before the first index stay shared.
+    /// Put `rows` back at their indices, given as ascending
+    /// `(index, row)` pairs in the final numbering (the inverse of
+    /// removing them). Chunks before the first index stay shared; the
+    /// rest are rebuilt into full chunks, copying each run of old rows
+    /// between two insertions at once, into the buffers of old chunks
+    /// already copied where they are not shared.
     ///
     /// # Panics
-    /// If an index lies past the end of the result.
-    pub fn insert_sorted(&mut self, rows: Vec<(usize, Tuple)>) {
-        let Some(&(first, _)) = rows.first() else {
+    /// If the indices are not ascending, an index lies past the end of
+    /// the result, or a row does not have [`Rows::arity`] values.
+    pub fn insert_sorted<'r>(&mut self, rows: impl IntoIterator<Item = (usize, &'r [Value])>) {
+        let mut rows = rows.into_iter().peekable();
+        let Some(&(first, _)) = rows.peek() else {
             return;
         };
-        let k = first.min(self.len) >> CHUNK_SHIFT;
-        let tail = self.split_off_chunks(k);
-        let mut tail = tail.into_iter();
-        for (idx, row) in rows {
-            while self.len < idx {
-                match tail.next() {
-                    Some(t) => self.push(t),
-                    None => panic!("reinsertion index {idx} past {} rows", self.len),
+        // Rebuild from the chunk holding the first index (or the tail, so
+        // that a partial tail fills up before a new chunk opens).
+        let k = match self.len {
+            0 => 0,
+            len => self.locate(first.min(len - 1)).0,
+        };
+        let old = self.chunks.split_off(k);
+        self.reindex();
+        let arity = self.arity;
+        let mut at = self.len;
+        // Buffers of old chunks already copied, reused for new ones.
+        let mut spare: Vec<Vec<Value>> = Vec::new();
+        let fresh = |spare: &mut Vec<Vec<Value>>| match spare.pop() {
+            Some(mut values) => {
+                values.clear();
+                values.reserve(CHUNK_ROWS * arity);
+                Chunk { rows: 0, values }
+            }
+            None => Chunk::with_capacity(CHUNK_ROWS, arity),
+        };
+        let mut out = fresh(&mut spare);
+        for chunk in old {
+            let mut r = 0;
+            while r < chunk.rows {
+                if let Some((_, row)) = rows.next_if(|&(idx, _)| idx == at) {
+                    assert_eq!(row.len(), arity, "row width does not match the arity");
+                    out.values.extend_from_slice(row);
+                    out.rows += 1;
+                    at += 1;
+                } else {
+                    let next = rows.peek().map_or(usize::MAX, |&(idx, _)| idx);
+                    assert!(next > at, "reinsertion indices not ascending at {next}");
+                    let run = (chunk.rows - r).min(next - at).min(CHUNK_ROWS - out.rows);
+                    out.values
+                        .extend_from_slice(&chunk.values[r * arity..(r + run) * arity]);
+                    out.rows += run;
+                    r += run;
+                    at += run;
+                }
+                if out.rows == CHUNK_ROWS {
+                    self.push_chunk(std::mem::replace(&mut out, fresh(&mut spare)));
                 }
             }
-            self.push(row);
+            if let Ok(copied) = Arc::try_unwrap(chunk) {
+                spare.push(copied.values);
+            }
         }
-        self.extend(tail);
+        for (idx, row) in rows {
+            assert_eq!(idx, at, "reinsertion index {idx} past {at} rows");
+            assert_eq!(row.len(), arity, "row width does not match the arity");
+            out.values.extend_from_slice(row);
+            out.rows += 1;
+            at += 1;
+            if out.rows == CHUNK_ROWS {
+                self.push_chunk(std::mem::replace(&mut out, fresh(&mut spare)));
+            }
+        }
+        if out.rows > 0 {
+            self.push_chunk(out);
+        }
+    }
+
+    /// Append a column to every row, filled by `fill(index, row)` in row
+    /// order. Each chunk is restrided once: an unshared chunk in place,
+    /// its buffer grown by one value per row and its rows moved up from
+    /// the back; a shared one into a new buffer.
+    pub fn push_column(&mut self, mut fill: impl FnMut(usize, &[Value]) -> Value) {
+        let arity = self.arity;
+        let mut i = 0;
+        let mut column = Vec::new();
+        for chunk in &mut self.chunks {
+            let rows = chunk.rows;
+            column.clear();
+            column.extend(ChunkIter::new(chunk, arity).map(|row| {
+                i += 1;
+                fill(i - 1, row)
+            }));
+            match Arc::get_mut(chunk) {
+                Some(unshared) => {
+                    let values = &mut unshared.values;
+                    values.resize(rows * (arity + 1), Value::Null);
+                    for (r, &v) in column.iter().enumerate().rev() {
+                        values.copy_within(r * arity..(r + 1) * arity, r * (arity + 1));
+                        values[r * (arity + 1) + arity] = v;
+                    }
+                }
+                None => {
+                    let mut values = Vec::with_capacity(rows * (arity + 1));
+                    for (row, &v) in ChunkIter::new(chunk, arity).zip(&column) {
+                        values.extend_from_slice(row);
+                        values.push(v);
+                    }
+                    *chunk = Arc::new(Chunk { rows, values });
+                }
+            }
+        }
+        self.arity += 1;
+    }
+
+    /// Remove column `c` from every row; each chunk is restrided once.
+    ///
+    /// # Panics
+    /// If `c` is not a column.
+    pub fn remove_column(&mut self, c: usize) {
+        let arity = self.arity;
+        assert!(c < arity, "column {c} out of range for arity {arity}");
+        for chunk in &mut self.chunks {
+            let chunk = Arc::make_mut(chunk);
+            let mut at = 0;
+            chunk.values.retain(|_| {
+                at += 1;
+                (at - 1) % arity != c
+            });
+        }
+        self.arity -= 1;
     }
 
     /// Whether `self` holds `older`'s rows followed by zero or more more
-    /// rows. Costs `O(chunks + CHUNK_ROWS)`: every full chunk of `older`
-    /// must be the *same allocation* here (which an append leaves shared,
-    /// and any edit of it would have copied), and only `older`'s partial
-    /// tail chunk, which an append may have copied, is compared by value.
+    /// rows. Costs `O(chunks + CHUNK_ROWS)`: every chunk of `older` but
+    /// its last must be the *same allocation* here (which an append
+    /// leaves shared, and any edit of it would have copied), and only
+    /// `older`'s tail chunk, which an append may have copied, is compared
+    /// by value.
     pub fn extends(&self, older: &Rows) -> bool {
-        if self.len < older.len {
+        let Some((old_tail, old_inner)) = older.chunks.split_last() else {
+            return true;
+        };
+        if self.len < older.len || self.arity != older.arity {
             return false;
         }
-        older.chunks.iter().zip(&self.chunks).all(|(old, new)| {
-            Arc::ptr_eq(old, new)
-                || (old.len() < CHUNK_ROWS && new.get(..old.len()) == Some(old.as_slice()))
-        })
+        let k = old_inner.len();
+        old_inner
+            .iter()
+            .zip(&self.chunks)
+            .all(|(old, new)| Arc::ptr_eq(old, new))
+            && self.chunks.get(k).is_some_and(|new| {
+                Arc::ptr_eq(old_tail, new)
+                    || (new.rows >= old_tail.rows
+                        && new.values[..old_tail.values.len()] == old_tail.values[..])
+            })
     }
 }
 
 impl Index<usize> for Rows {
-    type Output = Tuple;
+    type Output = [Value];
 
     #[inline]
-    fn index(&self, i: usize) -> &Tuple {
-        &self.chunks[i >> CHUNK_SHIFT][i & CHUNK_MASK]
+    fn index(&self, i: usize) -> &[Value] {
+        assert!(i < self.len, "row {i} out of range for {} rows", self.len);
+        let (k, at) = self.locate(i);
+        &self.chunks[k].values[at * self.arity..(at + 1) * self.arity]
     }
 }
 
 impl IndexMut<usize> for Rows {
-    fn index_mut(&mut self, i: usize) -> &mut Tuple {
-        &mut Arc::make_mut(&mut self.chunks[i >> CHUNK_SHIFT])[i & CHUNK_MASK]
+    fn index_mut(&mut self, i: usize) -> &mut [Value] {
+        assert!(i < self.len, "row {i} out of range for {} rows", self.len);
+        let (k, at) = self.locate(i);
+        let arity = self.arity;
+        let chunk = Arc::make_mut(&mut self.chunks[k]);
+        &mut chunk.values[at * arity..(at + 1) * arity]
     }
 }
 
-impl Extend<Tuple> for Rows {
-    fn extend<I: IntoIterator<Item = Tuple>>(&mut self, rows: I) {
-        let mut rows = rows.into_iter();
-        if let Some(tail) = self.chunks.last_mut() {
-            let room = CHUNK_ROWS - tail.len();
-            if room > 0 {
-                let tail = Arc::make_mut(tail);
-                let before = tail.len();
-                tail.extend(rows.by_ref().take(room));
-                self.len += tail.len() - before;
-            }
+/// Appends each row (a [`Tuple`] or a `&[Value]`), reserving room for
+/// the iterator's lower size bound.
+///
+/// # Panics
+/// If a row does not have [`Rows::arity`] values.
+impl<T: AsRef<[Value]>> Extend<T> for Rows {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, rows: I) {
+        let rows = rows.into_iter();
+        let mut hint = rows.size_hint().0;
+        for row in rows {
+            let row = row.as_ref();
+            assert_eq!(row.len(), self.arity, "row width does not match the arity");
+            let tail = self.tail_with_room(hint);
+            tail.values.extend_from_slice(row);
+            tail.rows += 1;
+            self.len += 1;
+            hint = hint.saturating_sub(1);
         }
-        loop {
-            let mut chunk = Vec::with_capacity(rows.size_hint().0.min(CHUNK_ROWS));
-            chunk.extend(rows.by_ref().take(CHUNK_ROWS));
-            if chunk.is_empty() {
-                break;
-            }
-            let full = chunk.len() == CHUNK_ROWS;
-            self.len += chunk.len();
-            self.chunks.push(Arc::new(chunk));
-            if !full {
-                break;
-            }
-        }
-    }
-}
-
-impl FromIterator<Tuple> for Rows {
-    fn from_iter<I: IntoIterator<Item = Tuple>>(rows: I) -> Rows {
-        let mut out = Rows::new();
-        out.extend(rows);
-        out
-    }
-}
-
-impl From<Vec<Tuple>> for Rows {
-    fn from(rows: Vec<Tuple>) -> Rows {
-        if rows.is_empty() {
-            return Rows::new();
-        }
-        if rows.len() <= CHUNK_ROWS {
-            // Fits one chunk: adopt the vector's allocation as is.
-            return Rows {
-                len: rows.len(),
-                chunks: vec![Arc::new(rows)],
-            };
-        }
-        rows.into_iter().collect()
     }
 }
 
 impl PartialEq for Rows {
     fn eq(&self, other: &Rows) -> bool {
-        // Equal lengths imply equal chunk boundaries.
-        self.len == other.len
-            && self
+        if self.len != other.len {
+            return false;
+        }
+        if self.len == 0 || (self.arity == 0 && other.arity == 0) {
+            return true;
+        }
+        if self.arity != other.arity {
+            return false;
+        }
+        if self.starts == other.starts {
+            return self
                 .chunks
                 .iter()
                 .zip(&other.chunks)
-                .all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
+                .all(|(a, b)| Arc::ptr_eq(a, b) || a.values == b.values);
+        }
+        // The chunks are cut at different rows: compare the value streams.
+        let mut mine = self.chunks.iter().map(|c| c.values.as_slice());
+        let mut theirs = other.chunks.iter().map(|c| c.values.as_slice());
+        let (mut a, mut b): (&[Value], &[Value]) = (&[], &[]);
+        loop {
+            if a.is_empty() {
+                match mine.next() {
+                    Some(next) => a = next,
+                    None => return true,
+                }
+            }
+            if b.is_empty() {
+                match theirs.next() {
+                    Some(next) => b = next,
+                    None => return true,
+                }
+            }
+            let n = a.len().min(b.len());
+            if a[..n] != b[..n] {
+                return false;
+            }
+            a = &a[n..];
+            b = &b[n..];
+        }
     }
 }
 
@@ -334,7 +702,7 @@ impl Eq for Rows {}
 
 impl PartialEq<[Tuple]> for Rows {
     fn eq(&self, other: &[Tuple]) -> bool {
-        self.len == other.len() && self.iter().eq(other)
+        self.len == other.len() && self.iter().zip(other).all(|(a, b)| a == b.values())
     }
 }
 
@@ -357,7 +725,7 @@ impl fmt::Debug for Rows {
 }
 
 impl<'a> IntoIterator for &'a Rows {
-    type Item = &'a Tuple;
+    type Item = &'a [Value];
     type IntoIter = Iter<'a>;
 
     fn into_iter(self) -> Iter<'a> {
@@ -365,57 +733,125 @@ impl<'a> IntoIterator for &'a Rows {
     }
 }
 
-/// Borrowing iterator over [`Rows`], chunk by chunk.
+/// The rows of one chunk, front to back.
+#[derive(Clone)]
+struct ChunkIter<'a> {
+    values: &'a [Value],
+    rows: usize,
+    arity: usize,
+}
+
+impl ChunkIter<'static> {
+    const EMPTY: ChunkIter<'static> = ChunkIter {
+        values: &[],
+        rows: 0,
+        arity: 0,
+    };
+}
+
+impl<'a> ChunkIter<'a> {
+    fn new(chunk: &'a Chunk, arity: usize) -> ChunkIter<'a> {
+        ChunkIter {
+            values: &chunk.values,
+            rows: chunk.rows,
+            arity,
+        }
+    }
+}
+
+impl<'a> Iterator for ChunkIter<'a> {
+    type Item = &'a [Value];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [Value]> {
+        if self.rows == 0 {
+            return None;
+        }
+        self.rows -= 1;
+        let (row, rest) = self.values.split_at(self.arity);
+        self.values = rest;
+        Some(row)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.rows, Some(self.rows))
+    }
+
+    #[inline]
+    fn nth(&mut self, n: usize) -> Option<&'a [Value]> {
+        let skip = n.min(self.rows);
+        self.values = &self.values[skip * self.arity..];
+        self.rows -= skip;
+        self.next()
+    }
+}
+
+impl DoubleEndedIterator for ChunkIter<'_> {
+    #[inline]
+    fn next_back(&mut self) -> Option<Self::Item> {
+        if self.rows == 0 {
+            return None;
+        }
+        self.rows -= 1;
+        let (rest, row) = self.values.split_at(self.values.len() - self.arity);
+        self.values = rest;
+        Some(row)
+    }
+}
+
+/// Borrowing iterator over the rows of [`Rows`], chunk by chunk.
 #[derive(Clone)]
 pub struct Iter<'a> {
-    chunks: std::slice::Iter<'a, Arc<Vec<Tuple>>>,
-    front: std::slice::Iter<'a, Tuple>,
-    back: std::slice::Iter<'a, Tuple>,
+    arity: usize,
+    chunks: std::slice::Iter<'a, Arc<Chunk>>,
+    front: ChunkIter<'a>,
+    back: ChunkIter<'a>,
 }
 
 impl<'a> Iterator for Iter<'a> {
-    type Item = &'a Tuple;
+    type Item = &'a [Value];
 
     #[inline]
-    fn next(&mut self) -> Option<&'a Tuple> {
+    fn next(&mut self) -> Option<&'a [Value]> {
         loop {
             if let Some(row) = self.front.next() {
                 return Some(row);
             }
             match self.chunks.next() {
-                Some(c) => self.front = c.iter(),
+                Some(c) => self.front = ChunkIter::new(c, self.arity),
                 None => return self.back.next(),
             }
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let mid: usize = self.chunks.as_slice().iter().map(|c| c.len()).sum();
-        let n = self.front.len() + mid + self.back.len();
+        let mid: usize = self.chunks.as_slice().iter().map(|c| c.rows).sum();
+        let n = self.front.rows + mid + self.back.rows;
         (n, Some(n))
     }
 
-    fn nth(&mut self, mut n: usize) -> Option<&'a Tuple> {
+    fn nth(&mut self, mut n: usize) -> Option<&'a [Value]> {
         loop {
-            let here = self.front.len();
+            let here = self.front.rows;
             if n < here {
                 return self.front.nth(n);
             }
             n -= here;
             match self.chunks.next() {
-                Some(c) => self.front = c.iter(),
+                Some(c) => self.front = ChunkIter::new(c, self.arity),
                 None => {
-                    self.front = [].iter();
+                    self.front = ChunkIter::EMPTY;
                     return self.back.nth(n);
                 }
             }
         }
     }
 
-    fn fold<B, F: FnMut(B, &'a Tuple) -> B>(self, init: B, mut f: F) -> B {
+    fn fold<B, F: FnMut(B, &'a [Value]) -> B>(self, init: B, mut f: F) -> B {
         let mut acc = self.front.fold(init, &mut f);
         for c in self.chunks {
-            acc = c.iter().fold(acc, &mut f);
+            acc = ChunkIter::new(c, self.arity).fold(acc, &mut f);
         }
         self.back.fold(acc, f)
     }
@@ -429,7 +865,7 @@ impl DoubleEndedIterator for Iter<'_> {
                 return Some(row);
             }
             match self.chunks.next_back() {
-                Some(c) => self.back = c.iter(),
+                Some(c) => self.back = ChunkIter::new(c, self.arity),
                 None => return self.front.next_back(),
             }
         }
@@ -440,24 +876,29 @@ impl ExactSizeIterator for Iter<'_> {}
 
 impl std::iter::FusedIterator for Iter<'_> {}
 
-/// Mutable iterator over [`Rows`]; each chunk is copied (if shared) when
-/// the iterator reaches it.
+/// Mutable iterator over the rows of [`Rows`]; each chunk is copied (if
+/// shared) when the iterator reaches it.
 pub struct IterMut<'a> {
-    chunks: std::slice::IterMut<'a, Arc<Vec<Tuple>>>,
-    front: std::slice::IterMut<'a, Tuple>,
+    arity: usize,
+    chunks: std::slice::IterMut<'a, Arc<Chunk>>,
+    values: &'a mut [Value],
+    rows: usize,
 }
 
 impl<'a> Iterator for IterMut<'a> {
-    type Item = &'a mut Tuple;
+    type Item = &'a mut [Value];
 
     #[inline]
-    fn next(&mut self) -> Option<&'a mut Tuple> {
-        loop {
-            if let Some(row) = self.front.next() {
-                return Some(row);
-            }
-            self.front = Arc::make_mut(self.chunks.next()?).iter_mut();
+    fn next(&mut self) -> Option<&'a mut [Value]> {
+        while self.rows == 0 {
+            let chunk = Arc::make_mut(self.chunks.next()?);
+            self.rows = chunk.rows;
+            self.values = &mut chunk.values;
         }
+        self.rows -= 1;
+        let (row, rest) = std::mem::take(&mut self.values).split_at_mut(self.arity);
+        self.values = rest;
+        Some(row)
     }
 }
 
@@ -466,29 +907,38 @@ mod tests {
     use super::*;
     use crate::tuple;
 
+    fn from_tuples(arity: usize, tuples: impl IntoIterator<Item = Tuple>) -> Rows {
+        let mut out = Rows::new(arity);
+        out.extend(tuples);
+        out
+    }
+
     fn rows(n: usize) -> Rows {
-        (0..n as i64).map(|i| tuple![i]).collect()
+        from_tuples(1, (0..n as i64).map(|i| tuple![i]))
     }
 
     fn ids(r: &Rows) -> Vec<i64> {
         r.iter()
-            .map(|t| match t.get(0) {
-                crate::Value::Int(i) => *i,
+            .map(|t| match t[0] {
+                Value::Int(i) => i,
                 other => panic!("not an int: {other}"),
             })
             .collect()
     }
 
+    fn lens(r: &Rows) -> Vec<usize> {
+        r.chunk_lens().collect()
+    }
+
     #[test]
     fn chunks_are_full_except_the_last() {
         let r = rows(2 * CHUNK_ROWS + 5);
-        let sizes: Vec<usize> = r.chunks().map(|c| c.len()).collect();
-        assert_eq!(sizes, vec![CHUNK_ROWS, CHUNK_ROWS, 5]);
-        assert_eq!(r[CHUNK_ROWS + 1], tuple![CHUNK_ROWS as i64 + 1]);
+        assert_eq!(lens(&r), vec![CHUNK_ROWS, CHUNK_ROWS, 5]);
+        assert_eq!(r[CHUNK_ROWS + 1], [Value::Int(CHUNK_ROWS as i64 + 1)]);
         assert_eq!(r.get(2 * CHUNK_ROWS + 5), None);
         assert_eq!(
             r.get(2 * CHUNK_ROWS + 4),
-            Some(&tuple![2 * CHUNK_ROWS as i64 + 4])
+            Some(&[Value::Int(2 * CHUNK_ROWS as i64 + 4)][..])
         );
     }
 
@@ -497,31 +947,68 @@ mod tests {
         let r = rows(CHUNK_ROWS + 3);
         let mut it = r.iter();
         assert_eq!(it.len(), CHUNK_ROWS + 3);
-        assert_eq!(it.next_back(), Some(&tuple![CHUNK_ROWS as i64 + 2]));
-        assert_eq!(it.nth(CHUNK_ROWS), Some(&tuple![CHUNK_ROWS as i64]));
+        assert_eq!(
+            it.next_back(),
+            Some(&[Value::Int(CHUNK_ROWS as i64 + 2)][..])
+        );
+        assert_eq!(
+            it.nth(CHUNK_ROWS),
+            Some(&[Value::Int(CHUNK_ROWS as i64)][..])
+        );
         assert_eq!(it.len(), 1);
-        assert_eq!(it.next(), Some(&tuple![CHUNK_ROWS as i64 + 1]));
+        assert_eq!(it.next(), Some(&[Value::Int(CHUNK_ROWS as i64 + 1)][..]));
         assert_eq!(it.next(), None);
         let back: Vec<i64> = ids(&r).into_iter().rev().collect();
-        let rev: Vec<&Tuple> = r.iter().rev().collect();
+        let rev: Vec<&[Value]> = r.iter().rev().collect();
         assert_eq!(rev.len(), back.len());
-        assert_eq!(rev[0], &tuple![back[0]]);
+        assert_eq!(rev[0], [Value::Int(back[0])]);
     }
 
     #[test]
-    fn insert_carries_across_chunks() {
+    fn insert_into_a_full_chunk_splits_it() {
         let n = 2 * CHUNK_ROWS;
         let mut r = rows(n);
-        r.insert(3, tuple![-1]);
+        let shared = r.clone();
+        r.insert(3, &[Value::Int(-1)]);
         let mut want: Vec<i64> = (0..n as i64).collect();
         want.insert(3, -1);
         assert_eq!(ids(&r), want);
         assert_eq!(
-            r.chunks().map(|c| c.len()).collect::<Vec<_>>(),
-            vec![CHUNK_ROWS, CHUNK_ROWS, 1]
+            lens(&r),
+            vec![CHUNK_ROWS / 2 + 1, CHUNK_ROWS / 2, CHUNK_ROWS]
         );
-        r.insert(r.len(), tuple![-2]);
-        assert_eq!(r.get(r.len() - 1), Some(&tuple![-2]));
+        // Only the split chunk was copied; the indexing falls back to the
+        // chunk starts and still finds every row.
+        assert!(Arc::ptr_eq(&r.chunks[2], &shared.chunks[1]));
+        assert!(!r.uniform);
+        assert!(r.iter().enumerate().all(|(i, row)| r[i] == *row));
+        r.insert(r.len(), &[Value::Int(-2)]);
+        assert_eq!(r.get(r.len() - 1), Some(&[Value::Int(-2)][..]));
+        assert_eq!(ids(&shared), (0..n as i64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn equality_ignores_chunk_cuts() {
+        let mut a = rows(CHUNK_ROWS + 1);
+        a.insert(0, &[Value::Int(-1)]);
+        let b = from_tuples(1, a.to_vec());
+        assert_ne!(lens(&a), lens(&b));
+        assert_eq!(a, b);
+        let mut c = b.clone();
+        c[CHUNK_ROWS + 1][0] = Value::Int(7);
+        assert_ne!(a, c);
+    }
+
+    #[test]
+    fn zero_arity_rows_keep_their_count() {
+        let mut r = from_tuples(0, (0..CHUNK_ROWS + 2).map(|_| Tuple::new(vec![])));
+        assert_eq!(r.len(), CHUNK_ROWS + 2);
+        assert_eq!(r.iter().count(), CHUNK_ROWS + 2);
+        r.insert(1, &[]);
+        r.retain(|i, _| i % 2 == 0);
+        assert_eq!(r.len(), (CHUNK_ROWS + 4) / 2);
+        r.push_column(|i, _| Value::Int(i as i64));
+        assert_eq!(ids(&r), (0..r.len() as i64).collect::<Vec<_>>());
     }
 
     #[test]
@@ -532,10 +1019,55 @@ mod tests {
         let drop = [5usize, CHUNK_ROWS, 2 * CHUNK_ROWS + 9, n - 1];
         r.retain(|i, _| !drop.contains(&i));
         assert_eq!(r.len(), n - drop.len());
-        assert!(!r.chunks().rev().skip(1).any(|c| c.len() != CHUNK_ROWS));
-        let back: Vec<(usize, Tuple)> = drop.iter().map(|&i| (i, before[i].clone())).collect();
-        r.insert_sorted(back);
+        // Each chunk lost one row and stayed more than half full, so none
+        // took rows from the next.
+        assert_eq!(
+            lens(&r),
+            vec![CHUNK_ROWS - 1, CHUNK_ROWS - 1, CHUNK_ROWS - 1, 16]
+        );
+        assert!(!r.uniform);
+        let back: Vec<(usize, Tuple)> = drop.iter().map(|&i| (i, before[i].into())).collect();
+        r.insert_sorted(back.iter().map(|(i, t)| (*i, t.values())));
         assert_eq!(r, before);
+    }
+
+    #[test]
+    fn retain_shares_untouched_chunks_and_tops_up_small_ones() {
+        let n = 4 * CHUNK_ROWS;
+        let before = rows(n);
+        let mut r = before.clone();
+        r.retain(|i, _| i != 5);
+        assert_eq!(
+            lens(&r),
+            vec![CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS, CHUNK_ROWS]
+        );
+        assert!((1..4).all(|k| Arc::ptr_eq(&r.chunks[k], &before.chunks[k])));
+        assert!(r.iter().enumerate().all(|(i, row)| r[i] == *row));
+        // Keeping one row in eight leaves small chunks, merged until full.
+        let mut narrow = before.clone();
+        narrow.retain(|i, _| i % 8 == 0);
+        assert_eq!(lens(&narrow), vec![CHUNK_ROWS / 2]);
+        assert!(narrow.uniform);
+        assert_eq!(ids(&narrow), (0..n as i64).step_by(8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn columns_restride_every_chunk() {
+        let mut r = rows(CHUNK_ROWS + 5);
+        let shared = r.clone();
+        r.push_column(|i, row| row[0].add(&Value::Int(i as i64)).expect("ints add"));
+        assert_eq!(r.arity(), 2);
+        assert_eq!(
+            r[CHUNK_ROWS + 4],
+            [
+                Value::Int(CHUNK_ROWS as i64 + 4),
+                Value::Int(2 * (CHUNK_ROWS as i64 + 4))
+            ]
+        );
+        assert_eq!(r.column(1)[3], Value::Int(6));
+        r.remove_column(0);
+        assert_eq!(r[2], [Value::Int(4)]);
+        assert_eq!(shared, rows(CHUNK_ROWS + 5));
     }
 
     #[test]
@@ -547,7 +1079,7 @@ mod tests {
         assert!(old.extends(&old));
         assert!(!old.extends(&new));
         let mut edited = new.clone();
-        edited[0] = tuple![-7];
+        edited[0][0] = Value::Int(-7);
         assert!(!edited.extends(&old));
     }
 }

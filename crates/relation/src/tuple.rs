@@ -1,7 +1,14 @@
 //! Tuples: fixed-width rows of [`Value`]s.
+//!
+//! A [`Tuple`] owns its values; it is how rows are built and handed to a
+//! relation. A relation stores its rows flat and lends them out as
+//! `&[Value]` slices (see [`crate::rows`]), which a `&Tuple` also derefs
+//! to, so code that reads rows takes `&[Value]`.
 
 use crate::value::Value;
+use std::borrow::Borrow;
 use std::fmt;
+use std::ops::Deref;
 
 /// A row of values. The width must always equal the owning relation's
 /// schema width; [`crate::relation::Relation`] enforces this on insert.
@@ -81,6 +88,47 @@ impl fmt::Display for Tuple {
 impl From<Vec<Value>> for Tuple {
     fn from(values: Vec<Value>) -> Self {
         Tuple::new(values)
+    }
+}
+
+impl From<&[Value]> for Tuple {
+    fn from(values: &[Value]) -> Self {
+        Tuple::new(values.to_vec())
+    }
+}
+
+impl Deref for Tuple {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        &self.values
+    }
+}
+
+impl AsRef<[Value]> for Tuple {
+    fn as_ref(&self) -> &[Value] {
+        &self.values
+    }
+}
+
+/// Hash, equality and order agree with the slice's, so maps keyed by
+/// `Tuple` can be probed with a borrowed `&[Value]` row.
+impl Borrow<[Value]> for Tuple {
+    fn borrow(&self) -> &[Value] {
+        &self.values
+    }
+}
+
+/// `values()` on a borrowed `&[Value]` row, as on a [`Tuple`], so code
+/// written against owned rows reads stored rows unchanged (the core
+/// crate's prelude re-exports it).
+pub trait RowValues {
+    fn values(&self) -> &[Value];
+}
+
+impl RowValues for [Value] {
+    fn values(&self) -> &[Value] {
+        self
     }
 }
 

@@ -262,11 +262,11 @@ fn sort_is_stable_permutation() {
         let col = sorted.column_values("x").unwrap();
         assert!(col.windows(2).all(|w| w[0] <= w[1]));
         // stability: rows with equal x keep their original relative order
-        let orig: Vec<&Tuple> = a.rows().iter().collect();
+        let orig = a.rows().to_vec();
         for w in sorted.rows().to_vec().windows(2) {
             if w[0].get(0) == w[1].get(0) {
-                let i = orig.iter().position(|t| *t == &w[0]).unwrap();
-                let j = orig.iter().rposition(|t| *t == &w[1]).unwrap();
+                let i = orig.iter().position(|t| *t == w[0]).unwrap();
+                let j = orig.iter().rposition(|t| *t == w[1]).unwrap();
                 assert!(i <= j);
             }
         }
@@ -384,10 +384,11 @@ fn aggregate_concat_laws() {
 }
 
 // ---------------------------------------------------------------------
-// Chunked copy-on-write row storage
+// Chunked, flat, copy-on-write row storage
 // ---------------------------------------------------------------------
 
 use ssa_relation::rows::CHUNK_ROWS;
+use ssa_relation::Column;
 
 /// Sizes on both sides of a chunk boundary, plus several full chunks
 /// with a partial tail.
@@ -398,37 +399,73 @@ const CHUNK_SIZES: [usize; 4] = [
     3 * CHUNK_ROWS + 17,
 ];
 
-fn numbered(n: usize) -> Relation {
+/// Row widths: no columns at all (rows are only counted), one column,
+/// and a `lineitem`-wide row.
+const ARITIES: [usize; 3] = [0, 1, 17];
+
+/// `n` rows of `arity` columns `c0, c1, ...`: `c0` numbers the row, `c1`
+/// cycles through three strings, the rest are multiples of the number.
+fn numbered(n: usize, arity: usize) -> Relation {
+    let schema = Schema::new(
+        (0..arity)
+            .map(|c| Column::new(format!("c{c}"), if c == 1 { Str } else { Int }))
+            .collect(),
+    )
+    .expect("distinct names");
     Relation::with_rows(
         "n",
-        Schema::of(&[("x", Int), ("s", Str)]),
-        (0..n).map(|i| numbered_row(i as i64)).collect(),
+        schema,
+        (0..n).map(|i| numbered_row(i as i64, arity)).collect(),
     )
     .expect("widths match")
 }
 
-fn numbered_row(i: i64) -> Tuple {
-    Tuple::new(vec![
-        Value::Int(i),
-        Value::str(["p", "q", "r"][i as usize % 3]),
-    ])
+fn numbered_row(i: i64, arity: usize) -> Tuple {
+    Tuple::new(
+        (0..arity)
+            .map(|c| match c {
+                0 => Value::Int(i),
+                1 => Value::str(["p", "q", "r"][i.rem_euclid(3) as usize]),
+                _ => Value::Int(i * c as i64),
+            })
+            .collect(),
+    )
 }
 
-/// Every chunk but the last is full; the last is non-empty.
+/// No chunk is empty or over-full, and the chunks hold every row.
 fn assert_chunked(r: &Relation, ctx: &str) {
-    let sizes: Vec<usize> = r.rows().chunks().map(|c| c.len()).collect();
+    let sizes: Vec<usize> = r.rows().chunk_lens().collect();
     assert_eq!(sizes.iter().sum::<usize>(), r.len(), "{ctx}: chunk sizes");
     assert!(
-        sizes.iter().rev().skip(1).all(|&n| n == CHUNK_ROWS),
-        "{ctx}: inner chunk not full: {sizes:?}"
+        sizes.iter().all(|&n| n > 0 && n <= CHUNK_ROWS),
+        "{ctx}: empty or over-full chunk: {sizes:?}"
+    );
+}
+
+/// The relation reads exactly as the model: equality, indexing, `get`,
+/// and iteration in both directions.
+fn assert_reads_as(r: &Relation, model: &[Tuple], ctx: &str) {
+    let rows = r.rows();
+    assert_eq!(*rows, *model, "{ctx}: rows differ from the model");
+    assert_eq!(rows.len(), model.len(), "{ctx}: length");
+    for (i, want) in model.iter().enumerate() {
+        assert_eq!(&rows[i], want.values(), "{ctx}: row {i} by index");
+    }
+    assert_eq!(rows.get(model.len()), None, "{ctx}: get past the end");
+    assert!(
+        rows.iter().eq(model.iter().map(|t| t.values())),
+        "{ctx}: iter"
     );
     assert!(
-        sizes.last().is_none_or(|&n| n > 0),
-        "{ctx}: empty tail chunk"
+        rows.iter().rev().eq(model.iter().rev().map(|t| t.values())),
+        "{ctx}: reverse iter"
     );
+    assert_eq!(rows.iter().len(), model.len(), "{ctx}: iter length");
 }
 
 /// One mutator applied both to a relation and to a plain-vector model.
+/// Column edits pick their column modulo the arity and do nothing to a
+/// relation without columns.
 #[derive(Debug, Clone)]
 enum Mutation {
     Append(usize),
@@ -442,16 +479,21 @@ enum Mutation {
     AddColumn,
     DropColumn,
     Sort,
+    TakeRows(Vec<u32>),
 }
 
+/// How many kinds of [`Mutation`] there are.
+const MUTATION_KINDS: usize = 12;
+
 impl Mutation {
-    fn arb(rng: &mut Rng, n: usize) -> Mutation {
+    /// A mutation of kind `kind` with random arguments for `n` rows.
+    fn arb(kind: usize, rng: &mut Rng, n: usize) -> Mutation {
         let some_rows = |rng: &mut Rng| -> Vec<u32> {
             (0..rng.gen_range(1..=5usize))
                 .map(|_| rng.gen_range(0..n as u64) as u32)
                 .collect()
         };
-        match rng.gen_range(0..11usize) {
+        match kind {
             0 => Mutation::Append(rng.gen_range(1..=CHUNK_ROWS + 3)),
             1 => Mutation::SetValue(rng.gen_range(0..n)),
             2 => Mutation::Remove(some_rows(rng)),
@@ -462,19 +504,37 @@ impl Mutation {
             7 => Mutation::Retain(rng.gen_range(2..7u64)),
             8 => Mutation::AddColumn,
             9 => Mutation::DropColumn,
-            _ => Mutation::Sort,
+            10 => Mutation::Sort,
+            _ => {
+                // A permutation of a random window, with repeats.
+                let from = rng.gen_range(0..n);
+                let mut ids: Vec<u32> = (from..n.min(from + 2 * CHUNK_ROWS))
+                    .map(|i| i as u32)
+                    .collect();
+                ids.reverse();
+                ids.extend(some_rows(rng));
+                Mutation::TakeRows(ids)
+            }
         }
     }
 
     fn apply(&self, r: &mut Relation) {
+        let arity = r.schema().len();
+        let last = arity.wrapping_sub(1);
         match self {
             Mutation::Append(k) => {
                 let first = r.len() as i64;
-                r.append_rows((first..first + *k as i64).map(numbered_row).collect())
-                    .expect("widths match");
+                r.append_rows(
+                    (first..first + *k as i64)
+                        .map(|i| numbered_row(i, arity))
+                        .collect(),
+                )
+                .expect("widths match");
             }
             Mutation::SetValue(i) => {
-                r.set_value(*i, "x", Value::Int(-1)).expect("in range");
+                if arity > 0 {
+                    r.set_value(*i, "c0", Value::Int(-1)).expect("in range");
+                }
             }
             Mutation::Remove(ids) => {
                 r.remove_rows_at(ids).expect("in range");
@@ -483,33 +543,49 @@ impl Mutation {
                 let removed = r.remove_rows_at(ids).expect("in range");
                 r.reinsert_rows(removed);
             }
-            Mutation::IndexMut(i) => r.rows_mut()[*i].set(1, Value::str("z")),
-            Mutation::Insert(at) => r.rows_mut().insert(*at, numbered_row(-2)),
+            Mutation::IndexMut(i) => {
+                if arity > 0 {
+                    r.rows_mut()[*i][last] = Value::str("z");
+                }
+            }
+            Mutation::Insert(at) => r.rows_mut().insert(*at, &numbered_row(-2, arity)),
             Mutation::IterMut => {
                 for t in r.rows_mut().iter_mut() {
-                    let Value::Int(x) = *t.get(0) else { continue };
-                    t.set(0, Value::Int(x + 1));
+                    let Some(Value::Int(x)) = t.first() else {
+                        continue;
+                    };
+                    t[0] = Value::Int(x + 1);
                 }
             }
             Mutation::Retain(m) => r.retain_rows(|i| !(i as u64).is_multiple_of(*m)),
             Mutation::AddColumn => r
-                .add_column(ssa_relation::Column::new("y", Int), |i, _| {
-                    Value::Int(i as i64)
-                })
+                .add_column(Column::new("y", Int), |i, _| Value::Int(i as i64))
                 .expect("fresh column"),
-            Mutation::DropColumn => r.drop_column("s").expect("column exists"),
-            Mutation::Sort => r.rows_mut().sort_by(|a, b| b.get(1).cmp(a.get(1))),
+            Mutation::DropColumn => {
+                if arity > 0 {
+                    r.drop_column(&format!("c{last}")).expect("column exists");
+                }
+            }
+            Mutation::Sort => r
+                .rows_mut()
+                .sort_by(|a, b| b.get(1 % arity.max(1)).cmp(&a.get(1 % arity.max(1)))),
+            Mutation::TakeRows(ids) => *r = r.take_rows(ids),
         }
     }
 
-    /// The same edit on a plain vector of rows.
-    fn model(&self, rows: &mut Vec<Tuple>) {
+    /// The same edit on a plain vector of rows of width `arity`.
+    fn model(&self, rows: &mut Vec<Tuple>, arity: usize) {
+        let last = arity.wrapping_sub(1);
         match self {
             Mutation::Append(k) => {
                 let first = rows.len() as i64;
-                rows.extend((first..first + *k as i64).map(numbered_row));
+                rows.extend((first..first + *k as i64).map(|i| numbered_row(i, arity)));
             }
-            Mutation::SetValue(i) => rows[*i].set(0, Value::Int(-1)),
+            Mutation::SetValue(i) => {
+                if arity > 0 {
+                    rows[*i].set(0, Value::Int(-1));
+                }
+            }
             Mutation::Remove(ids) => {
                 let mut i = 0;
                 rows.retain(|_| {
@@ -518,11 +594,17 @@ impl Mutation {
                 });
             }
             Mutation::RemoveReinsert(_) => {}
-            Mutation::IndexMut(i) => rows[*i].set(1, Value::str("z")),
-            Mutation::Insert(at) => rows.insert(*at, numbered_row(-2)),
+            Mutation::IndexMut(i) => {
+                if arity > 0 {
+                    rows[*i].set(last, Value::str("z"));
+                }
+            }
+            Mutation::Insert(at) => rows.insert(*at, numbered_row(-2, arity)),
             Mutation::IterMut => {
                 for t in rows.iter_mut() {
-                    let Value::Int(x) = *t.get(0) else { continue };
+                    let Some(Value::Int(x)) = t.first() else {
+                        continue;
+                    };
                     t.set(0, Value::Int(x + 1));
                 }
             }
@@ -539,45 +621,116 @@ impl Mutation {
                 }
             }
             Mutation::DropColumn => {
-                for t in rows.iter_mut() {
-                    t.remove(1);
+                if arity > 0 {
+                    for t in rows.iter_mut() {
+                        t.remove(last);
+                    }
                 }
             }
-            Mutation::Sort => rows.sort_by(|a, b| b.get(1).cmp(a.get(1))),
+            Mutation::Sort => rows.sort_by(|a, b| {
+                b.values()
+                    .get(1 % arity.max(1))
+                    .cmp(&a.values().get(1 % arity.max(1)))
+            }),
+            Mutation::TakeRows(ids) => {
+                *rows = ids.iter().map(|&i| rows[i as usize].clone()).collect();
+            }
         }
     }
 }
 
 /// A clone shares every chunk, yet no mutator on either side leaks into
 /// the other: the untouched side keeps its exact rows, and the edited
-/// side matches the same edit on a plain vector and keeps the chunk
-/// invariant.
+/// side reads exactly as the same edit on a plain vector and keeps the
+/// chunk invariant. Every mutator runs at every size and arity.
 #[test]
 fn chunked_clones_are_isolated_under_every_mutator() {
-    for (si, &n) in CHUNK_SIZES.iter().enumerate() {
-        let original = numbered(n);
-        let before = original.rows().to_vec();
-        let mut rng = Rng::seed_from_u64(0x0C ^ ((si as u64) << 8));
-        for case in 0..24 {
-            let m = Mutation::arb(&mut rng, n);
-            let ctx = format!("n {n} case {case} {m:?}");
-            let mut edited = original.clone();
-            m.apply(&mut edited);
-            let mut model = before.clone();
-            m.model(&mut model);
-            assert_eq!(*edited.rows(), model, "{ctx}: edit diverged from the model");
-            assert_chunked(&edited, &ctx);
-            assert_eq!(
-                *original.rows(),
-                before,
-                "{ctx}: edit leaked into the original"
+    for &arity in &ARITIES {
+        for (si, &n) in CHUNK_SIZES.iter().enumerate() {
+            let original = numbered(n, arity);
+            let before = original.rows().to_vec();
+            let mut rng = Rng::seed_from_u64(0x0C ^ ((si as u64) << 8) ^ ((arity as u64) << 16));
+            for case in 0..2 * MUTATION_KINDS {
+                let m = Mutation::arb(case % MUTATION_KINDS, &mut rng, n);
+                let ctx = format!("arity {arity} n {n} case {case} {m:?}");
+                let mut edited = original.clone();
+                m.apply(&mut edited);
+                let mut model = before.clone();
+                m.model(&mut model, arity);
+                assert_reads_as(&edited, &model, &ctx);
+                assert_chunked(&edited, &ctx);
+                assert_eq!(
+                    *original.rows(),
+                    before,
+                    "{ctx}: edit leaked into the original"
+                );
+                // And the other direction: editing the original after the
+                // clone leaves the clone alone.
+                let mut source = original.clone();
+                let copy = source.clone();
+                m.apply(&mut source);
+                assert_eq!(*copy.rows(), before, "{ctx}: edit leaked into the clone");
+            }
+        }
+    }
+}
+
+/// A run of single-row inserts in the middle of the relation splits full
+/// chunks instead of shifting every later row. However the chunks end up
+/// cut, the relation reads as the model, equals a freshly built copy,
+/// leaves its shared snapshot alone, and `extends` still follows appends
+/// and only appends.
+#[test]
+fn mid_relation_inserts_split_chunks() {
+    for &arity in &ARITIES {
+        for (si, &n) in CHUNK_SIZES.iter().enumerate() {
+            let mut rng = Rng::seed_from_u64(0x10 ^ ((si as u64) << 8) ^ ((arity as u64) << 16));
+            let snapshot = numbered(n, arity);
+            let mut r = snapshot.clone();
+            let mut model = snapshot.rows().to_vec();
+            for step in 0..64 {
+                let at = rng.gen_range(0..r.len());
+                let ctx = format!("arity {arity} n {n} step {step} at {at}");
+                let m = Mutation::Insert(at);
+                m.apply(&mut r);
+                m.model(&mut model, arity);
+                assert_chunked(&r, &ctx);
+                if step % 16 == 15 {
+                    assert_reads_as(&r, &model, &ctx);
+                }
+            }
+            let ctx = format!("arity {arity} n {n}");
+            assert_reads_as(&r, &model, &ctx);
+            assert!(
+                r.rows().chunk_lens().len() > n.div_ceil(CHUNK_ROWS),
+                "{ctx}: no chunk split"
             );
-            // And the other direction: editing the original after the
-            // clone leaves the clone alone.
-            let mut source = original.clone();
-            let copy = source.clone();
-            m.apply(&mut source);
-            assert_eq!(*copy.rows(), before, "{ctx}: edit leaked into the clone");
+            let fresh =
+                Relation::with_rows("n", r.schema().clone(), model.clone()).expect("widths match");
+            assert_eq!(r, fresh, "{ctx}: differently cut copies differ");
+            let mut moved = model.clone();
+            Mutation::IndexMut(n / 2).model(&mut moved, arity);
+            Mutation::Insert(0).model(&mut moved, arity);
+            moved.pop();
+            if arity > 0 {
+                let other =
+                    Relation::with_rows("n", r.schema().clone(), moved).expect("widths match");
+                assert_ne!(r, other, "{ctx}: equality missed a changed row");
+            }
+            assert_reads_as(&snapshot, &numbered(n, arity).rows().to_vec(), &ctx);
+
+            let mut grown = r.clone();
+            Mutation::Append(rng.gen_range(1..=CHUNK_ROWS + 3)).apply(&mut grown);
+            assert!(grown.extends(&r), "{ctx}: append to split chunks");
+            assert!(!r.extends(&grown), "{ctx}: a prefix extends its extension");
+            // Without columns an inserted row is indistinguishable from an
+            // appended one, so only wider rows can tell the two apart.
+            if arity > 0 {
+                assert!(!r.extends(&snapshot), "{ctx}: inserts seen as an append");
+                let mut edited = grown.clone();
+                Mutation::Insert(rng.gen_range(0..r.len())).apply(&mut edited);
+                assert!(!edited.extends(&r), "{ctx}: insert then append extends");
+            }
         }
     }
 }
@@ -588,7 +741,8 @@ fn chunked_clones_are_isolated_under_every_mutator() {
 fn append_chains_cross_chunk_boundaries() {
     for case in 0..8u64 {
         let mut rng = Rng::seed_from_u64(0x0D ^ (case << 8));
-        let mut r = numbered(rng.gen_range(0..CHUNK_ROWS * 2));
+        let arity = ARITIES[case as usize % ARITIES.len()];
+        let mut r = numbered(rng.gen_range(0..CHUNK_ROWS * 2), arity);
         let mut model = r.rows().to_vec();
         for step in 0..12 {
             let snapshot = r.clone();
@@ -598,9 +752,14 @@ fn append_chains_cross_chunk_boundaries() {
                 _ => CHUNK_ROWS - r.len() % CHUNK_ROWS,
             };
             Mutation::Append(k).apply(&mut r);
-            Mutation::Append(k).model(&mut model);
+            Mutation::Append(k).model(&mut model, arity);
             let ctx = format!("case {case} step {step} +{k}");
             assert_chunked(&r, &ctx);
+            let sizes: Vec<usize> = r.rows().chunk_lens().collect();
+            assert!(
+                sizes.iter().rev().skip(1).all(|&n| n == CHUNK_ROWS),
+                "{ctx}: inner chunk not full: {sizes:?}"
+            );
             assert_eq!(*r.rows(), model, "{ctx}");
             assert_eq!(snapshot.len() + k, r.len(), "{ctx}");
             assert_eq!(
@@ -625,7 +784,7 @@ fn append_chains_cross_chunk_boundaries() {
 #[test]
 fn remove_reinsert_round_trips_across_chunks() {
     for (si, &n) in CHUNK_SIZES.iter().enumerate() {
-        let original = numbered(n);
+        let original = numbered(n, 2);
         let mut rng = Rng::seed_from_u64(0x0E ^ ((si as u64) << 8));
         for case in 0..16 {
             let ids: Vec<u32> = (0..rng.gen_range(1..=40usize))
@@ -652,7 +811,7 @@ fn remove_reinsert_round_trips_across_chunks() {
 #[test]
 fn extension_check_detects_prefix_mutations() {
     for (si, &n) in CHUNK_SIZES.iter().enumerate() {
-        let old = numbered(n);
+        let old = numbered(n, 2);
         let mut rng = Rng::seed_from_u64(0x0F ^ ((si as u64) << 8));
         for case in 0..24 {
             let mut chained = old.clone();

@@ -327,7 +327,8 @@ fn publish_failure_never_acks_and_leaves_no_trace() {
         )
         .expect("csv")
         .rows()[0]
-            .clone()])
+            .to_vec()
+            .into()])
         .expect_err("publish failure must not ack");
     fault::reset();
     assert!(err.to_string().contains("server.publish"), "{err}");
@@ -351,7 +352,8 @@ fn publish_failure_never_acks_and_leaves_no_trace() {
         )
         .expect("csv")
         .rows()[0]
-            .clone()])
+            .to_vec()
+            .into()])
         .expect("retry");
     assert_eq!(version, version_before + 1);
     drop(host);

@@ -140,24 +140,24 @@ mod tests {
         let jetta = r
             .rows()
             .iter()
-            .find(|t| t.get(0) == &Value::str("Jetta"))
+            .find(|t| t[0] == Value::str("Jetta"))
             .unwrap();
-        assert_eq!(jetta.get(1), &Value::Float(16333.333333333334));
+        assert_eq!(jetta[1], Value::Float(16333.333333333334));
     }
 
     #[test]
     fn having_filters_groups() {
         let r = run("SELECT Model, COUNT(*) FROM cars GROUP BY Model HAVING COUNT(*) > 3");
         assert_eq!(r.len(), 1);
-        assert_eq!(r.rows()[0].get(0), &Value::str("Jetta"));
-        assert_eq!(r.rows()[0].get(1), &Value::Int(6));
+        assert_eq!(&r.rows()[0][0], &Value::str("Jetta"));
+        assert_eq!(&r.rows()[0][1], &Value::Int(6));
     }
 
     #[test]
     fn order_by_descending_aggregate() {
         let r = run("SELECT Model, MAX(Price) FROM cars GROUP BY Model ORDER BY MAX(Price) DESC");
-        assert_eq!(r.rows()[0].get(0), &Value::str("Jetta"));
-        assert_eq!(r.rows()[1].get(0), &Value::str("Civic"));
+        assert_eq!(&r.rows()[0][0], &Value::str("Jetta"));
+        assert_eq!(&r.rows()[1][0], &Value::str("Civic"));
     }
 
     #[test]
@@ -172,8 +172,8 @@ mod tests {
     fn global_aggregate_without_group_by() {
         let r = run("SELECT COUNT(*), MIN(Price) FROM cars");
         assert_eq!(r.len(), 1);
-        assert_eq!(r.rows()[0].get(0), &Value::Int(9));
-        assert_eq!(r.rows()[0].get(1), &Value::Int(13500));
+        assert_eq!(&r.rows()[0][0], &Value::Int(9));
+        assert_eq!(&r.rows()[0][1], &Value::Int(13500));
     }
 
     #[test]
@@ -183,9 +183,9 @@ mod tests {
              ORDER BY Model, Year",
         );
         assert_eq!(r.len(), 4);
-        assert_eq!(r.rows()[0].get(0), &Value::str("Civic"));
-        assert_eq!(r.rows()[0].get(1), &Value::Int(2005));
-        assert_eq!(r.rows()[3].get(2), &Value::Float(17500.0));
+        assert_eq!(&r.rows()[0][0], &Value::str("Civic"));
+        assert_eq!(&r.rows()[0][1], &Value::Int(2005));
+        assert_eq!(&r.rows()[3][2], &Value::Float(17500.0));
     }
 
     #[test]

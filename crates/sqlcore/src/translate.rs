@@ -264,8 +264,8 @@ mod tests {
                 .unwrap();
         let t = translate(&stmt, &catalog()).unwrap();
         let r = t.result().unwrap();
-        assert_eq!(r.rows()[0].get(0), &Value::str("Jetta"));
-        assert_eq!(r.rows()[r.len() - 1].get(0), &Value::str("Civic"));
+        assert_eq!(&r.rows()[0][0], &Value::str("Jetta"));
+        assert_eq!(&r.rows()[r.len() - 1][0], &Value::str("Civic"));
     }
 
     #[test]

@@ -122,7 +122,7 @@ mod tests {
         orders.append_rows(feed.batch(25)).unwrap();
         assert_eq!(orders.len(), 25);
         // Order keys are sequential from the configured start.
-        let Value::Int(first) = orders.rows()[0].get(0) else {
+        let Value::Int(first) = &orders.rows()[0][0] else {
             panic!("orderkey must be Int");
         };
         assert_eq!(*first, 0);

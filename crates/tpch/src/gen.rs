@@ -277,17 +277,17 @@ mod tests {
         let cfg = GenConfig::tiny();
         let d = generate(&cfg, 7);
         for t in d.orders.rows() {
-            let Value::Int(ck) = t.get(1) else { panic!() };
+            let Value::Int(ck) = &t[1] else { panic!() };
             assert!((0..cfg.customers as i64).contains(ck));
         }
         for t in d.lineitem.rows() {
-            let Value::Int(ok) = t.get(0) else { panic!() };
+            let Value::Int(ok) = &t[0] else { panic!() };
             assert!((0..cfg.orders as i64).contains(ok));
-            let Value::Int(pk) = t.get(1) else { panic!() };
+            let Value::Int(pk) = &t[1] else { panic!() };
             assert!((0..cfg.parts as i64).contains(pk));
         }
         for t in d.customer.rows() {
-            let Value::Int(nk) = t.get(2) else { panic!() };
+            let Value::Int(nk) = &t[2] else { panic!() };
             assert!((0..25).contains(nk));
         }
     }
@@ -296,7 +296,7 @@ mod tests {
     fn dates_are_valid_yyyymmdd() {
         let d = generate(&GenConfig::tiny(), 9);
         for t in d.orders.rows() {
-            let Value::Int(date) = t.get(4) else { panic!() };
+            let Value::Int(date) = &t[4] else { panic!() };
             let (y, m, dd) = (date / 10000, (date / 100) % 100, date % 100);
             assert!((1992..=1998).contains(&y));
             assert!((1..=12).contains(&m));
@@ -318,9 +318,7 @@ mod tests {
     fn discounts_bounded() {
         let d = generate(&GenConfig::tiny(), 3);
         for t in d.lineitem.rows() {
-            let Value::Float(disc) = t.get(6) else {
-                panic!()
-            };
+            let Value::Float(disc) = &t[6] else { panic!() };
             assert!((0.0..=0.10).contains(disc));
         }
     }

@@ -97,12 +97,11 @@ mod tests {
         assert_eq!(v.len(), d.lineitem.len());
         for t in v.rows().iter().take(20) {
             let sch = v.schema();
-            let ext = t
-                .get(sch.index_of("l_extendedprice").unwrap())
+            let ext = t[sch.index_of("l_extendedprice").unwrap()]
                 .as_f64()
                 .unwrap();
-            let disc = t.get(sch.index_of("l_discount").unwrap()).as_f64().unwrap();
-            let rev = t.get(sch.index_of("l_revenue").unwrap()).as_f64().unwrap();
+            let disc = t[sch.index_of("l_discount").unwrap()].as_f64().unwrap();
+            let rev = t[sch.index_of("l_revenue").unwrap()].as_f64().unwrap();
             assert!((rev - ext * (1.0 - disc)).abs() < 1e-9);
         }
     }
@@ -139,15 +138,9 @@ mod tests {
         assert_eq!(v.len(), d.partsupp.len());
         let sch = v.schema();
         for t in v.rows().iter().take(10) {
-            let cost = t
-                .get(sch.index_of("ps_supplycost").unwrap())
-                .as_f64()
-                .unwrap();
-            let qty = t
-                .get(sch.index_of("ps_availqty").unwrap())
-                .as_f64()
-                .unwrap();
-            let val = t.get(sch.index_of("ps_value").unwrap()).as_f64().unwrap();
+            let cost = t[sch.index_of("ps_supplycost").unwrap()].as_f64().unwrap();
+            let qty = t[sch.index_of("ps_availqty").unwrap()].as_f64().unwrap();
+            let val = t[sch.index_of("ps_value").unwrap()].as_f64().unwrap();
             assert!((val - cost * qty).abs() < 1e-6);
         }
     }

@@ -23,7 +23,7 @@ fn assert_bitwise_eq(a: &Relation, b: &Relation, ctx: &str) {
     assert_eq!(a.schema(), b.schema(), "{ctx}: schema");
     assert_eq!(a.len(), b.len(), "{ctx}: row count");
     for (i, (ra, rb)) in a.rows().iter().zip(b.rows()).enumerate() {
-        for (j, (va, vb)) in ra.values().iter().zip(rb.values()).enumerate() {
+        for (j, (va, vb)) in ra.iter().zip(rb).enumerate() {
             match (va, vb) {
                 (Value::Float(fa), Value::Float(fb)) => assert_eq!(
                     fa.to_bits(),
@@ -306,14 +306,14 @@ fn paged_open_reads_only_touched_columns() {
     let expected: Vec<i64> = relation
         .rows()
         .iter()
-        .filter_map(|t| match t.values()[1] {
+        .filter_map(|t| match t[1] {
             Value::Int(p) if p < 500 => Some(p),
             _ => None,
         })
         .collect();
     assert_eq!(narrow.len(), expected.len());
     for (row, want) in narrow.rows().iter().zip(&expected) {
-        assert_eq!(row.values()[0], Value::Int(*want));
+        assert_eq!(row[0], Value::Int(*want));
     }
 
     // A scan over different columns loads only what it needs.

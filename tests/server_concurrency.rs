@@ -284,7 +284,12 @@ fn refreshed_sessions_match_fresh_sessions() {
             };
             let pinned_len = probe.base().len();
             let expect_patch = *only_appends && pinned_len < snapshot.base.len() && {
-                let fresh_rows = snapshot.base.rows().iter().skip(pinned_len).cloned();
+                let fresh_rows = snapshot
+                    .base
+                    .rows()
+                    .iter()
+                    .skip(pinned_len)
+                    .map(Tuple::from);
                 probe.append_rows(fresh_rows.collect()).is_ok()
                     && matches!(probe.last_delta(), StateDelta::RowsAppended { .. })
             };
