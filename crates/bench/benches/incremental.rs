@@ -23,8 +23,8 @@
 //! (the template plus the scenario's own preparation), outside the timed
 //! region: a clone of one shared template would share its row chunks, so
 //! the timed edit would also pay the copy-on-write of every chunk it
-//! touches, which a live session editing its own sheet never does.
-//! Results go to console and to
+//! touches, which a live session editing its own sheet never does. The
+//! full and incremental samples alternate. Results go to console and to
 //! `BENCH_incremental.json` at the repository root. `SSA_BENCH_FAST=1`
 //! runs a tiny smoke configuration (the JSON is then marked
 //! `"fast": true`).
@@ -147,29 +147,36 @@ const HISTORY_SCENARIOS: &[Scenario<Engine>] = &[Scenario {
     },
 }];
 
-/// Median wall time of (edit + view) in milliseconds, in full mode when
-/// `full`. Each sample's warm sheet comes from `warm()`, built outside
-/// the timed region.
+/// Median wall times of (edit + view) in milliseconds, full mode first,
+/// then incremental. The two modes' samples are interleaved, alternating
+/// which runs first, so drift in the machine's load lands on both alike.
+/// Each sample's warm sheet comes from `warm()`, built outside the timed
+/// region.
 fn time_edit<S: Editable>(
     warm: &dyn Fn() -> (S, u64),
-    full: bool,
     edit: fn(&mut S, u64),
     samples: usize,
-) -> f64 {
-    let mut times = Vec::with_capacity(samples);
+) -> (f64, f64) {
+    let mut times = [Vec::with_capacity(samples), Vec::with_capacity(samples)];
     // Warm-up iterations (code paths, allocator) are discarded.
     for i in 0..samples + 2 {
-        let (mut e, arg) = warm();
-        e.sheet_mut().set_incremental(!full);
-        let t = Instant::now();
-        edit(&mut e, arg);
-        black_box(e.sheet_mut().view().expect("edited sheet evaluates"));
-        if i >= 2 {
-            times.push(t.elapsed().as_secs_f64() * 1e3);
+        for incremental in [i % 2 == 1, i % 2 == 0] {
+            let (mut e, arg) = warm();
+            e.sheet_mut().set_incremental(incremental);
+            let t = Instant::now();
+            edit(&mut e, arg);
+            black_box(e.sheet_mut().view().expect("edited sheet evaluates"));
+            if i >= 2 {
+                times[usize::from(incremental)].push(t.elapsed().as_secs_f64() * 1e3);
+            }
         }
     }
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
+    let [mut full, mut inc] = times;
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(|a, b| a.total_cmp(b));
+        v[v.len() / 2]
+    };
+    (median(&mut full), median(&mut inc))
 }
 
 struct Row {
@@ -217,8 +224,7 @@ fn run<S: Editable>(
         sc.name
     );
 
-    let full_ms = time_edit(&warm, true, sc.edit, samples);
-    let incremental_ms = time_edit(&warm, false, sc.edit, samples);
+    let (full_ms, incremental_ms) = time_edit(&warm, sc.edit, samples);
     println!(
         "incremental/{:>6} rows/{:18}  full {:8.3} ms  incremental {:8.3} ms  speedup {:5.2}x",
         n,
