@@ -248,19 +248,22 @@ fn main() {
     } else {
         &[1_000, 10_000, 100_000]
     };
-    let samples = if fast { 5 } else { 25 };
+    // A 1k-row edit is the shortest sample (tens of µs for some), so its
+    // median needs the most samples to read steadily; it is also the only
+    // size the smoke run reads.
+    let samples = |n: usize| if n <= 1_000 { 101 } else { 25 };
 
     let mut rows = Vec::new();
     for &n in sizes {
         for sc in SHEET_SCENARIOS {
-            rows.push(run(&|| template(n), n, sc, samples));
+            rows.push(run(&|| template(n), n, sc, samples(n)));
         }
         let history = || {
             let (sheet, sel) = template(n);
             (Engine::from_sheet(sheet), sel)
         };
         for sc in HISTORY_SCENARIOS {
-            rows.push(run(&history, n, sc, samples));
+            rows.push(run(&history, n, sc, samples(n)));
         }
     }
 

@@ -116,28 +116,42 @@ const SCENARIOS: &[Scenario] = &[
     },
 ];
 
-/// Median wall time of (edit + view) in milliseconds, measured in
-/// steady state: one clone restores the warm template, then the timed
-/// edits stream into it sequentially — a live feed applies events to
-/// one long-lived sheet, it does not restart from a snapshot per
-/// event. (Cloning per sample would charge every edit a harness
-/// artifact: a fresh clone's buffers have `capacity == len`, so its
-/// first splice reallocates and page-faults several MB of cache
-/// state — milliseconds that no steady stream ever pays.)
-fn time_edit(template: &Spreadsheet, feed: &mut OrderFeed, sc: &Scenario, samples: usize) -> f64 {
-    let mut s = template.clone();
-    let mut times = Vec::with_capacity(samples);
+/// Median wall times of (edit + view) in milliseconds, full mode first,
+/// then streaming. Every sample edits a warm sheet built afresh for it
+/// by `template(n)`, outside the timed region, and takes its rows from
+/// that sheet's own feed: a clone of one shared template would share
+/// its row chunks, so the timed edit would also pay the copy-on-write of
+/// the chunk it lands in, which a live feed's long-lived sheet pays once,
+/// not per event. One untimed edit of the scenario's own kind precedes
+/// the timed one, for the same reason: the first edit of a kind on a
+/// fresh sheet also builds state a long-lived sheet already has (at 1k
+/// rows the first `delete_row` took twice as long as the next two). The
+/// two modes' samples alternate which runs first, so drift in the
+/// machine's load lands on both alike.
+fn time_edit(n: usize, sc: &Scenario, samples: usize) -> (f64, f64) {
+    let mut times = [Vec::with_capacity(samples), Vec::with_capacity(samples)];
+    // Warm-up iterations (code paths, allocator) are discarded.
     for i in 0..samples + 2 {
-        let rows = feed.batch(sc.events);
-        let t = Instant::now();
-        (sc.edit)(&mut s, &rows);
-        black_box(s.view().expect("edited sheet evaluates"));
-        if i >= 2 {
-            times.push(t.elapsed().as_secs_f64() * 1e3);
+        for streaming in [i % 2 == 1, i % 2 == 0] {
+            let (mut s, mut feed) = template(n);
+            s.set_incremental(streaming);
+            (sc.edit)(&mut s, &feed.batch(sc.events));
+            s.view().expect("warm-up edit evaluates");
+            let rows = feed.batch(sc.events);
+            let t = Instant::now();
+            (sc.edit)(&mut s, &rows);
+            black_box(s.view().expect("edited sheet evaluates"));
+            if i >= 2 {
+                times[usize::from(streaming)].push(t.elapsed().as_secs_f64() * 1e3);
+            }
         }
     }
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
+    let [mut full, mut streaming] = times;
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(|a, b| a.total_cmp(b));
+        v[v.len() / 2]
+    };
+    (median(&mut full), median(&mut streaming))
 }
 
 struct Row {
@@ -160,8 +174,6 @@ fn main() {
     let mut results = Vec::new();
     for &n in sizes {
         let (warm, mut feed) = template(n);
-        let mut full = warm.clone();
-        full.set_incremental(false);
 
         for sc in SCENARIOS {
             let rows = feed.batch(sc.events);
@@ -184,8 +196,7 @@ fn main() {
                 sc.name
             );
 
-            let full_ms = time_edit(&full, &mut feed, sc, samples);
-            let streaming_ms = time_edit(&warm, &mut feed, sc, samples);
+            let (full_ms, streaming_ms) = time_edit(n, sc, samples);
             println!(
                 "stream/{:>6} rows/{:16}  full {:8.3} ms  streaming {:8.3} ms  ({:7.1} µs/event)  speedup {:6.2}x",
                 n,

@@ -28,15 +28,18 @@ pub fn render_table(view: &Derived) -> String {
     let idx = visible_indices(view);
     let rows = view.data.rows();
 
-    // One pass formats every visible non-string cell into `text`; `ends[r
-    // * ncols + k]` is where cell (r, k) stops there (string cells take no
-    // room). `multibyte` counts the bytes beyond one per char, which the
-    // padding does not absorb; only string cells can have any.
+    // One pass formats every visible non-string cell into `text`; row r
+    // starts at `starts[r]` there and cell (r, k) is `lens[r * ncols + k]`
+    // bytes long (string cells take no room). `multibyte` counts the bytes
+    // beyond one per char, which the padding does not absorb; only string
+    // cells can have any.
     let mut widths: Vec<usize> = view.visible.iter().map(|c| c.len()).collect();
     let mut text = String::new();
-    let mut ends = Vec::with_capacity(rows.len() * idx.len());
+    let mut starts = Vec::with_capacity(rows.len());
+    let mut lens = Vec::with_capacity(rows.len() * idx.len());
     let mut multibyte = 0;
     for row in rows {
+        starts.push(text.len());
         for (w, &i) in widths.iter_mut().zip(&idx) {
             let start = text.len();
             let v = &row[i];
@@ -46,7 +49,10 @@ pub fn render_table(view: &Derived) -> String {
             let (cell, chars) = cell_text(v, &text[start..]);
             *w = (*w).max(cell.len());
             multibyte += cell.len() - chars;
-            ends.push(text.len());
+            lens.push(
+                u16::try_from(text.len() - start)
+                    .expect("a formatted non-string value is at most 327 bytes"),
+            );
         }
     }
 
@@ -95,10 +101,13 @@ pub fn render_table(view: &Derived) -> String {
         }
         for r in block {
             let row = &rows[r];
-            let first = r * ncols;
-            let mut start = first.checked_sub(1).map_or(0, |p| ends[p]);
-            let cells = ends[first..first + ncols].iter().zip(&widths).zip(&idx);
-            for ((&end, &w), &i) in cells {
+            let mut start = starts[r];
+            let cells = lens[r * ncols..(r + 1) * ncols]
+                .iter()
+                .zip(&widths)
+                .zip(&idx);
+            for ((&len, &w), &i) in cells {
+                let end = start + usize::from(len);
                 let (cell, chars) = cell_text(&row[i], &text[start..end]);
                 push_cell(&mut out, cell, chars, w, &spaces);
                 start = end;
@@ -373,6 +382,18 @@ mod tests {
         assert_eq!(cell(&Value::Float(0.375)), "0.38");
         assert_eq!(cell(&Value::Int(i64::MIN)), "-9223372036854775808");
         assert_eq!(cell(&"ünï".into()), "ünï");
+    }
+
+    /// `render_table` stores each formatted cell's length as a `u16`. The
+    /// longest non-string cells are the floats `Display` spells out in
+    /// full: the largest magnitudes and the smallest subnormals.
+    #[test]
+    fn formatted_cells_fit_a_u16_length() {
+        let longest = [f64::MAX, f64::MIN, f64::MIN_POSITIVE, 5e-324, -5e-324]
+            .map(|f| cell(&Value::Float(f)).len());
+        assert_eq!(longest, [309, 310, 326, 326, 327]);
+        assert!(longest.iter().all(|&n| u16::try_from(n).is_ok()));
+        assert_eq!(cell(&Value::Int(i64::MIN)).len(), 20);
     }
 
     /// Floats the fast paths must get exactly right or hand to
