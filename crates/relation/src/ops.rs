@@ -860,64 +860,6 @@ mod tests {
         ));
     }
 
-    /// Inputs above [`PARALLEL_THRESHOLD`], so the chunked paths run:
-    /// a hash join whose probe side and output cross it, one whose build
-    /// side crosses it too, and a product whose cardinality does. Each
-    /// must equal the sequential definition row for row.
-    #[test]
-    fn join_and_product_above_the_parallel_threshold_match_oracle() {
-        let n = PARALLEL_THRESHOLD as i64 + 808;
-        let rel = |name: &str, cols: [&str; 2], rows: Vec<Tuple>| {
-            Relation::with_rows(name, Schema::of(&[(cols[0], Int), (cols[1], Int)]), rows).unwrap()
-        };
-
-        // Probe side and output above the threshold, build side small
-        // enough for the select-of-product oracle.
-        let big = rel(
-            "big",
-            ["k", "v"],
-            (0..n).map(|i| tuple![i % 3, i]).collect(),
-        );
-        let small = rel(
-            "small",
-            ["j", "w"],
-            (0..6).map(|i| tuple![i % 3, i]).collect(),
-        );
-        let cond = Expr::col("k")
-            .eq(Expr::col("j"))
-            .and(Expr::col("v").gt(Expr::col("w")));
-        let j = join(&big, &small, &cond).unwrap();
-        assert!(j.len() >= PARALLEL_THRESHOLD, "the gather runs chunked");
-        assert_eq!(j.rows(), oracle::join(&big, &small, &cond).unwrap().rows());
-
-        // Both sides above the threshold (the build partitions run
-        // chunked too): unique keys, so row i pairs with row i.
-        let left = rel("l", ["k", "v"], (0..n).map(|i| tuple![i, i]).collect());
-        let right = rel(
-            "r",
-            ["j", "w"],
-            (0..n).rev().map(|i| tuple![i, -i]).collect(),
-        );
-        let j = join(&left, &right, &Expr::col("k").eq(Expr::col("j"))).unwrap();
-        let expected: Vec<Tuple> = (0..n).map(|i| tuple![i, i, i, -i]).collect();
-        assert_eq!(j.rows(), &expected);
-
-        // |l| × |r| = 10 000 output rows.
-        let l = rel(
-            "l",
-            ["a", "b"],
-            (0..100).map(|i| tuple![i, i % 7]).collect(),
-        );
-        let r = rel(
-            "r",
-            ["c", "d"],
-            (0..100).map(|i| tuple![i % 5, i]).collect(),
-        );
-        let p = product(&l, &r).unwrap();
-        assert!(p.len() >= PARALLEL_THRESHOLD);
-        assert_eq!(p.rows(), oracle::product(&l, &r).unwrap().rows());
-    }
-
     #[test]
     fn union_all_keeps_duplicates_and_aligns_columns() {
         let a = Relation::with_rows(
