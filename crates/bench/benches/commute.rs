@@ -2,40 +2,40 @@
 //! (pure metadata work, independent of data size) versus actually
 //! applying operator pairs in both orders and comparing results.
 
-use spreadsheet_algebra::{may_commute, AlgebraOp, Direction, Spreadsheet};
+use spreadsheet_algebra::{may_commute, Direction, SheetOp, Spreadsheet};
 use ssa_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ssa_bench::synthetic_cars;
 use ssa_relation::{AggFunc, Expr};
 use std::hint::black_box;
 
-fn ops() -> Vec<AlgebraOp> {
+fn ops() -> Vec<SheetOp> {
     vec![
-        AlgebraOp::Select {
+        SheetOp::Select {
             predicate: Expr::col("Price").lt(Expr::lit(20_000)),
         },
-        AlgebraOp::Select {
+        SheetOp::Select {
             predicate: Expr::col("Year").ge(Expr::lit(2004)),
         },
-        AlgebraOp::Project {
+        SheetOp::ProjectOut {
             column: "Mileage".into(),
         },
-        AlgebraOp::Aggregate {
+        SheetOp::Aggregate {
             func: AggFunc::Avg,
             column: "Price".into(),
             level: 1,
         },
-        AlgebraOp::Formula {
+        SheetOp::Formula {
             name: Some("PriceK".into()),
             expr: Expr::col("Price").div(Expr::lit(1000)),
         },
-        AlgebraOp::Dedup,
-        AlgebraOp::Group {
-            basis: vec!["Model".into()],
-            order: Direction::Asc,
+        SheetOp::Dedup,
+        SheetOp::Group {
+            attributes: vec!["Model".into()],
+            direction: Direction::Asc,
         },
-        AlgebraOp::Order {
+        SheetOp::Order {
             attribute: "Price".into(),
-            order: Direction::Asc,
+            direction: Direction::Asc,
             level: 1,
         },
     ]
@@ -73,11 +73,11 @@ fn bench_both_orders(c: &mut Criterion) {
                             continue;
                         }
                         let mut s1 = sheet.clone();
-                        if a.apply(&mut s1).is_err() || d.apply(&mut s1).is_err() {
+                        if s1.apply(a).is_err() || s1.apply(d).is_err() {
                             continue;
                         }
                         let mut s2 = sheet.clone();
-                        if d.apply(&mut s2).is_err() || a.apply(&mut s2).is_err() {
+                        if s2.apply(d).is_err() || s2.apply(a).is_err() {
                             continue;
                         }
                         if s1.evaluate_now().unwrap() == s2.evaluate_now().unwrap() {

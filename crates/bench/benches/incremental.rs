@@ -139,7 +139,12 @@ const SHEET_SCENARIOS: &[Scenario<Spreadsheet>] = &[
 const HISTORY_SCENARIOS: &[Scenario<Engine>] = &[Scenario {
     name: "undo_aggregate",
     prepare: |e, sel| {
-        e.aggregate(AggFunc::Sum, "Mileage", 2).unwrap();
+        e.apply(SheetOp::Aggregate {
+            func: AggFunc::Sum,
+            column: "Mileage".into(),
+            level: 2,
+        })
+        .unwrap();
         sel
     },
     edit: |e, _| {

@@ -29,7 +29,7 @@
 //! then marked `"fast": true`).
 
 use spreadsheet_algebra::prelude::*;
-use ssa_relation::Relation;
+use ssa_relation::{Relation, Rows};
 use ssa_server::SheetHost;
 use ssa_tpch::{schema, FeedConfig, OrderFeed};
 use std::hint::black_box;
@@ -61,21 +61,39 @@ fn orders_host(n: usize) -> (SheetHost, OrderFeed) {
 /// base moved behind an `Arc`.
 fn query(e: &mut Engine, i: usize, old_snapshots: bool) {
     let threshold = 2_000.0 + (i % 7) as f64 * 500.0;
-    let charge = |e: &mut Engine| {
+    let ops = [
+        SheetOp::Select {
+            predicate: Expr::col("o_totalprice").lt(Expr::lit(threshold)),
+        },
+        SheetOp::Group {
+            attributes: vec!["o_orderstatus".into()],
+            direction: Direction::Asc,
+        },
+        SheetOp::Aggregate {
+            func: AggFunc::Avg,
+            column: "o_totalprice".into(),
+            level: 2,
+        },
+    ];
+    for op in ops {
         if old_snapshots {
-            black_box(e.sheet().base().clone());
+            black_box(deep_copy(e.sheet().base()));
         }
-    };
-    charge(e);
-    e.select(Expr::col("o_totalprice").lt(Expr::lit(threshold)))
-        .expect("selection applies");
-    charge(e);
-    e.group(&["o_orderstatus"], Direction::Asc)
-        .expect("grouping applies");
-    charge(e);
-    e.aggregate(AggFunc::Avg, "o_totalprice", 2)
-        .expect("aggregate applies");
+        e.apply(op).expect("query op applies");
+    }
     black_box(e.view().expect("request view evaluates"));
+}
+
+/// A copy of `relation` that shares no row chunk with it, as the
+/// pre-refactor base copies did. (`Relation::clone` shares the chunks,
+/// so it copies almost nothing.)
+fn deep_copy(relation: &Relation) -> Relation {
+    let mut rows = Rows::new(relation.schema().len());
+    for row in relation.rows().iter() {
+        rows.push(row);
+    }
+    Relation::from_rows(relation.name(), relation.schema().clone(), rows)
+        .expect("the copy has the original's arity")
 }
 
 /// One shared-architecture read request: O(1) snapshot fork, O(1)
@@ -91,7 +109,7 @@ fn read_shared(host: &SheetHost, i: usize) {
 /// deep-copies it again.
 fn read_unshared(host: &SheetHost, i: usize) {
     let snapshot = host.snapshot();
-    let mut e = Engine::over((*snapshot.base).clone());
+    let mut e = Engine::over(deep_copy(&snapshot.base));
     query(&mut e, i, true);
 }
 
@@ -190,7 +208,7 @@ fn main() {
         {
             let snapshot = host.snapshot();
             let mut shared = Engine::over_shared(Arc::clone(&snapshot.base));
-            let mut copied = Engine::over((*snapshot.base).clone());
+            let mut copied = Engine::over(deep_copy(&snapshot.base));
             query(&mut shared, 3, false);
             query(&mut copied, 3, true);
             assert_eq!(
@@ -272,7 +290,7 @@ fn main() {
         let copy_us = {
             let start = Instant::now();
             for _ in 0..samples {
-                black_box(Spreadsheet::over((*snapshot.base).clone()));
+                black_box(Spreadsheet::over(deep_copy(&snapshot.base)));
             }
             start.elapsed().as_secs_f64() * 1e6 / samples as f64
         };

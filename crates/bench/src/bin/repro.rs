@@ -205,36 +205,37 @@ fn theorem2_check() {
     let sheet = Spreadsheet::over(used_cars());
     let pairs = [
         (
-            AlgebraOp::Select {
+            SheetOp::Select {
                 predicate: Expr::col("Year").eq(Expr::lit(2005)),
             },
-            AlgebraOp::Aggregate {
+            SheetOp::Aggregate {
                 func: AggFunc::Avg,
                 column: "Price".into(),
                 level: 1,
             },
         ),
         (
-            AlgebraOp::Dedup,
-            AlgebraOp::Project {
+            SheetOp::Dedup,
+            SheetOp::ProjectOut {
                 column: "Mileage".into(),
             },
         ),
     ];
     for (a, b) in pairs {
         assert!(may_commute(&a, &b, &sheet));
-        let mut s1 = sheet.clone();
-        a.apply(&mut s1).expect("op applies");
-        b.apply(&mut s1).expect("op applies");
-        let mut s2 = sheet.clone();
-        b.apply(&mut s2).expect("op applies");
-        a.apply(&mut s2).expect("op applies");
+        let mut ab = Engine::from_sheet(sheet.clone());
+        ab.apply(a.clone()).expect("op applies");
+        ab.apply(b.clone()).expect("op applies");
+        let mut ba = Engine::from_sheet(sheet.clone());
+        ba.apply(b).expect("op applies");
+        ba.apply(a).expect("op applies");
+        let (first, second) = (&ab.records()[0].line, &ab.records()[1].line);
         assert_eq!(
-            s1.evaluate_now().expect("evaluates"),
-            s2.evaluate_now().expect("evaluates"),
-            "{a} and {b} must commute"
+            ab.sheet().evaluate_now().expect("evaluates"),
+            ba.sheet().evaluate_now().expect("evaluates"),
+            "{first} and {second} must commute"
         );
-        println!("Theorem 2: {a} then {b}  ==  {b} then {a}   [ok]");
+        println!("Theorem 2: {first} then {second}  ==  {second} then {first}   [ok]");
     }
 }
 

@@ -2,157 +2,105 @@
 //! all manipulations with meaningful names, one-step and multi-step
 //! undo/redo — wrapped around a [`Spreadsheet`] as the [`Engine`].
 //!
+//! Every unary operator and base edit enters as a [`SheetOp`] through
+//! [`Engine::apply`]. The binary operators and cascading column removal
+//! are not `SheetOp`s (see DESIGN.md §19) and have methods of their own;
+//! all of them record through one private path: snapshot, run, push an
+//! entry, or roll back.
+//!
 //! Undo is snapshot-based: every operation records the sheet's defining
 //! data (base + state) beforehand, making all user actions reversible
 //! (direct-manipulation desideratum iii). Query *modification* (Sec. V)
-//! lives on the engine too, so that state edits are themselves undoable
-//! history entries.
+//! is applied through the engine too, so that state edits are themselves
+//! undoable history entries. An entry keeps the History line, rendered
+//! when the operator ran, not the op: an appended batch's rows are not
+//! held a second time on the undo stack.
 
 use crate::error::{Result, SheetError};
 use crate::eval::Derived;
+use crate::modify::RemovalPlan;
+use crate::replica::{Applied, SheetOp};
 use crate::sheet::{Spreadsheet, StoredSheet};
 use crate::spec::Direction;
 use crate::state::QueryState;
 use ssa_relation::{AggFunc, Expr, Relation};
-use std::fmt;
 use std::sync::Arc;
 
-/// A completed operation, named the way the History menu shows it.
+/// One History-menu entry.
 #[derive(Debug, Clone, PartialEq)]
-pub enum OpRecord {
-    Group {
-        basis: Vec<String>,
-        order: Direction,
-    },
-    Regroup {
-        basis: Vec<String>,
-        order: Direction,
-    },
-    Ungroup,
-    Order {
-        attribute: String,
-        order: Direction,
-        level: usize,
-    },
-    Select {
-        id: u64,
-        predicate: String,
-    },
-    Project {
-        column: String,
-    },
-    Reinstate {
-        column: String,
-    },
-    Aggregate {
-        column: String,
-        func: AggFunc,
-        input: String,
-        level: usize,
-    },
-    Formula {
-        column: String,
-        expr: String,
-    },
-    Dedup,
-    Rename {
-        from: String,
-        to: String,
-    },
-    Product {
-        with: String,
-    },
-    Join {
-        with: String,
-        condition: String,
-    },
-    Union {
-        with: String,
-    },
-    Difference {
-        with: String,
-    },
-    ModifySelection {
-        id: u64,
-        predicate: String,
-    },
-    RemoveSelection {
-        id: u64,
-    },
-    RemoveComputed {
-        column: String,
-    },
-    AppendRows {
-        count: usize,
-    },
-    DeleteRows {
-        count: usize,
-    },
-    UpdateCell {
-        column: String,
-        row: u32,
-    },
+pub struct HistoryEntry {
+    /// The line the menu shows, e.g. `Select [Year = 2005] (#0)`.
+    pub line: String,
+    /// For σ: the new selection's id and its predicate text.
+    pub selection: Option<(u64, String)>,
+    /// A binary operator: a point of non-commutativity.
+    pub binary: bool,
 }
 
-impl OpRecord {
-    /// Whether this entry is a binary operator — a point of
-    /// non-commutativity.
-    pub fn is_binary(&self) -> bool {
-        matches!(
-            self,
-            OpRecord::Product { .. }
-                | OpRecord::Join { .. }
-                | OpRecord::Union { .. }
-                | OpRecord::Difference { .. }
-        )
+impl HistoryEntry {
+    fn new(line: String, binary: bool) -> HistoryEntry {
+        HistoryEntry {
+            line,
+            selection: None,
+            binary,
+        }
     }
-}
 
-impl fmt::Display for OpRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OpRecord::Group { basis, order } => {
-                write!(f, "Group by {{{}}} {order}", basis.join(", "))
+    /// The entry for `op`, which produced `applied`.
+    fn of(op: &SheetOp, applied: &Applied) -> HistoryEntry {
+        // What the op created: a selection id or a column name.
+        let made = match applied {
+            Applied::Selection(id) => id.to_string(),
+            Applied::Column(name) => name.clone(),
+            Applied::Done => String::new(),
+        };
+        let line = match op {
+            SheetOp::AppendRows { rows } => format!("Append {} row(s)", rows.len()),
+            SheetOp::DeleteRows { ids } => format!("Delete {} row(s)", ids.len()),
+            SheetOp::UpdateCell { row, column, .. } => {
+                format!("Update {column} of base row {row}")
             }
-            OpRecord::Regroup { basis, order } => {
-                write!(f, "Regroup by {{{}}} {order}", basis.join(", "))
+            SheetOp::Rename { from, to } => format!("Rename {from} to {to}"),
+            SheetOp::Select { predicate } => format!("Select [{predicate}] (#{made})"),
+            SheetOp::ReplaceSelection { target, predicate } => {
+                format!("Modify selection #{target} to [{predicate}]")
             }
-            OpRecord::Ungroup => write!(f, "Remove grouping"),
-            OpRecord::Order {
+            SheetOp::RemoveSelection { target } => format!("Remove selection #{target}"),
+            SheetOp::Group {
+                attributes,
+                direction,
+            } => format!("Group by {{{}}} {direction}", attributes.join(", ")),
+            SheetOp::Regroup {
+                attributes,
+                direction,
+            } => format!("Regroup by {{{}}} {direction}", attributes.join(", ")),
+            SheetOp::Ungroup => "Remove grouping".to_string(),
+            SheetOp::Order {
                 attribute,
-                order,
+                direction,
                 level,
-            } => {
-                write!(f, "Order level {level} by {attribute} {order}")
-            }
-            OpRecord::Select { id, predicate } => write!(f, "Select [{predicate}] (#{id})"),
-            OpRecord::Project { column } => write!(f, "Project out {column}"),
-            OpRecord::Reinstate { column } => write!(f, "Reinstate {column}"),
-            OpRecord::Aggregate {
-                column,
+            } => format!("Order level {level} by {attribute} {direction}"),
+            SheetOp::ProjectOut { column } => format!("Project out {column}"),
+            SheetOp::Reinstate { column } => format!("Reinstate {column}"),
+            SheetOp::Aggregate {
                 func,
-                input,
+                column,
                 level,
-            } => {
-                write!(f, "Aggregate {column} = {func}({input}) at level {level}")
+            } => format!("Aggregate {made} = {func}({column}) at level {level}"),
+            SheetOp::Formula { expr, .. } => format!("Formula {made} = {expr}"),
+            SheetOp::RemoveComputed { name } => format!("Remove column {name}"),
+            SheetOp::Dedup => "Remove duplicates".to_string(),
+        };
+        let selection = match (op, applied) {
+            (SheetOp::Select { predicate }, Applied::Selection(id)) => {
+                Some((*id, predicate.to_string()))
             }
-            OpRecord::Formula { column, expr } => write!(f, "Formula {column} = {expr}"),
-            OpRecord::Dedup => write!(f, "Remove duplicates"),
-            OpRecord::Rename { from, to } => write!(f, "Rename {from} to {to}"),
-            OpRecord::Product { with } => write!(f, "Product with {with}"),
-            OpRecord::Join { with, condition } => write!(f, "Join with {with} on {condition}"),
-            OpRecord::Union { with } => write!(f, "Union with {with}"),
-            OpRecord::Difference { with } => write!(f, "Difference with {with}"),
-            OpRecord::ModifySelection { id, predicate } => {
-                write!(f, "Modify selection #{id} to [{predicate}]")
-            }
-            OpRecord::RemoveSelection { id } => write!(f, "Remove selection #{id}"),
-            OpRecord::RemoveComputed { column } => write!(f, "Remove column {column}"),
-            OpRecord::AppendRows { count } => write!(f, "Append {count} row(s)"),
-            OpRecord::DeleteRows { count } => write!(f, "Delete {count} row(s)"),
-            OpRecord::UpdateCell { column, row } => {
-                write!(f, "Update {column} of base row {row}")
-            }
+            _ => None,
+        };
+        HistoryEntry {
+            line,
+            selection,
+            binary: false,
         }
     }
 }
@@ -166,27 +114,19 @@ type Snapshot = (Arc<Relation>, QueryState, u64, u64);
 #[derive(Debug, Clone)]
 pub struct Engine {
     sheet: Spreadsheet,
-    undo_stack: Vec<(OpRecord, Snapshot)>,
-    redo_stack: Vec<(OpRecord, Snapshot)>,
+    undo_stack: Vec<(HistoryEntry, Snapshot)>,
+    redo_stack: Vec<(HistoryEntry, Snapshot)>,
 }
 
 impl Engine {
     pub fn over(relation: Relation) -> Engine {
-        Engine {
-            sheet: Spreadsheet::over(relation),
-            undo_stack: Vec::new(),
-            redo_stack: Vec::new(),
-        }
+        Engine::from_sheet(Spreadsheet::over(relation))
     }
 
     /// An engine over an already-shared base relation: the session holds
     /// the `Arc` without copying data (see [`Spreadsheet::over_shared`]).
     pub fn over_shared(relation: Arc<Relation>) -> Engine {
-        Engine {
-            sheet: Spreadsheet::over_shared(relation),
-            undo_stack: Vec::new(),
-            redo_stack: Vec::new(),
-        }
+        Engine::from_sheet(Spreadsheet::over_shared(relation))
     }
 
     pub fn from_sheet(sheet: Spreadsheet) -> Engine {
@@ -215,30 +155,87 @@ impl Engine {
         self.undo_stack
             .iter()
             .enumerate()
-            .map(|(i, (op, _))| format!("{}. {op}", i + 1))
+            .map(|(i, (entry, _))| format!("{}. {}", i + 1, entry.line))
             .collect()
     }
 
-    /// Operations performed so far (for tests and the study driver).
-    pub fn records(&self) -> Vec<&OpRecord> {
-        self.undo_stack.iter().map(|(op, _)| op).collect()
+    /// The entries of the undo stack, oldest first.
+    pub fn records(&self) -> Vec<&HistoryEntry> {
+        self.undo_stack.iter().map(|(entry, _)| entry).collect()
     }
 
-    fn apply<T>(
+    /// Apply one operator and record it: the path every unary operator,
+    /// query modification and base edit takes. A failed operator
+    /// records nothing and leaves the sheet as it was.
+    pub fn apply(&mut self, op: SheetOp) -> Result<Applied> {
+        let result = self.record(|sheet| {
+            let applied = sheet.apply(&op)?;
+            Ok((HistoryEntry::of(&op, &applied), applied))
+        });
+        match op {
+            SheetOp::ReplaceSelection { target, .. } | SheetOp::RemoveSelection { target } => {
+                result.map_err(|e| self.diagnose_missing_selection(target, e))
+            }
+            _ => result,
+        }
+    }
+
+    /// × with a stored sheet (a point of non-commutativity, like the
+    /// other binary operators).
+    pub fn product(&mut self, stored: &StoredSheet) -> Result<()> {
+        self.record_binary(format!("Product with {}", stored.name), |s| {
+            s.product(stored)
+        })
+    }
+
+    pub fn join(&mut self, stored: &StoredSheet, condition: Expr) -> Result<()> {
+        let line = format!("Join with {} on {condition}", stored.name);
+        self.record_binary(line, |s| s.join(stored, condition))
+    }
+
+    pub fn union(&mut self, stored: &StoredSheet) -> Result<()> {
+        self.record_binary(format!("Union with {}", stored.name), |s| s.union(stored))
+    }
+
+    pub fn difference(&mut self, stored: &StoredSheet) -> Result<()> {
+        self.record_binary(format!("Difference with {}", stored.name), |s| {
+            s.difference(stored)
+        })
+    }
+
+    /// Remove computed column `column` and everything that depends on it
+    /// (Sec. V-B) as one history entry, so one undo brings it all back.
+    pub fn remove_with_cascade(&mut self, column: &str) -> Result<RemovalPlan> {
+        self.record(|sheet| {
+            let plan = sheet.remove_with_cascade(column)?;
+            Ok((HistoryEntry::new(format!("Cascade: {plan}"), false), plan))
+        })
+    }
+
+    fn record_binary(
         &mut self,
-        record: OpRecord,
-        f: impl FnOnce(&mut Spreadsheet) -> Result<T>,
+        line: String,
+        f: impl FnOnce(&mut Spreadsheet) -> Result<()>,
+    ) -> Result<()> {
+        self.record(|sheet| f(sheet).map(|()| (HistoryEntry::new(line, true), ())))
+    }
+
+    /// The one recording path: snapshot, run `f`, and push the entry it
+    /// returns; on failure, restore the snapshot and record nothing.
+    fn record<T>(
+        &mut self,
+        f: impl FnOnce(&mut Spreadsheet) -> Result<(HistoryEntry, T)>,
     ) -> Result<T> {
         let snapshot = self.sheet.snapshot();
         match f(&mut self.sheet) {
-            Ok(v) => {
-                self.undo_stack.push((record, snapshot));
+            Ok((entry, value)) => {
+                self.undo_stack.push((entry, snapshot));
                 self.redo_stack.clear();
-                Ok(v)
+                Ok(value)
             }
             Err(e) => {
-                // A failed operator must leave the sheet untouched; most
-                // ops validate before mutating, but restore defensively.
+                // A failed operator must leave the sheet untouched; the
+                // operators are transactional, but restore defensively.
                 let (b, s, ep, ver) = snapshot;
                 self.sheet.restore(b, s, ep, ver);
                 Err(e)
@@ -246,200 +243,41 @@ impl Engine {
         }
     }
 
-    /// Undo the most recent operation. Returns its record.
-    pub fn undo(&mut self) -> Result<OpRecord> {
-        let (op, before) = self
-            .undo_stack
-            .pop()
-            .ok_or(SheetError::HistoryExhausted { redo: false })?;
-        let now = self.sheet.snapshot();
-        let (b, s, ep, ver) = before;
-        self.sheet.restore(b, s, ep, ver);
-        self.redo_stack.push((op.clone(), now));
-        Ok(op)
+    /// Undo the most recent operation. Returns its History line.
+    pub fn undo(&mut self) -> Result<String> {
+        self.step(false)
     }
 
     /// Redo the most recently undone operation.
-    pub fn redo(&mut self) -> Result<OpRecord> {
-        let (op, after) = self
-            .redo_stack
-            .pop()
-            .ok_or(SheetError::HistoryExhausted { redo: true })?;
-        let before = self.sheet.snapshot();
-        let (b, s, ep, ver) = after;
+    pub fn redo(&mut self) -> Result<String> {
+        self.step(true)
+    }
+
+    /// Move one entry from one stack to the other, restoring the
+    /// snapshot it carries and leaving the current one in its place.
+    fn step(&mut self, redo: bool) -> Result<String> {
+        let (from, to) = if redo {
+            (&mut self.redo_stack, &mut self.undo_stack)
+        } else {
+            (&mut self.undo_stack, &mut self.redo_stack)
+        };
+        let (entry, snapshot) = from.pop().ok_or(SheetError::HistoryExhausted { redo })?;
+        let line = entry.line.clone();
+        to.push((entry, self.sheet.snapshot()));
+        let (b, s, ep, ver) = snapshot;
         self.sheet.restore(b, s, ep, ver);
-        self.undo_stack.push((op.clone(), before));
-        Ok(op)
+        Ok(line)
     }
 
     /// Multi-step undo.
-    pub fn undo_steps(&mut self, steps: usize) -> Result<Vec<OpRecord>> {
+    pub fn undo_steps(&mut self, steps: usize) -> Result<Vec<String>> {
         (0..steps).map(|_| self.undo()).collect()
     }
 
     /// Multi-step redo.
-    pub fn redo_steps(&mut self, steps: usize) -> Result<Vec<OpRecord>> {
+    pub fn redo_steps(&mut self, steps: usize) -> Result<Vec<String>> {
         (0..steps).map(|_| self.redo()).collect()
     }
-
-    // --- recorded operators -------------------------------------------
-
-    pub fn group(&mut self, basis: &[&str], order: Direction) -> Result<()> {
-        let record = OpRecord::Group {
-            basis: basis.iter().map(|s| s.to_string()).collect(),
-            order,
-        };
-        self.apply(record, |s| s.group(basis, order))
-    }
-
-    pub fn group_add(&mut self, attributes: &[&str], order: Direction) -> Result<()> {
-        let record = OpRecord::Group {
-            basis: attributes.iter().map(|s| s.to_string()).collect(),
-            order,
-        };
-        self.apply(record, |s| s.group_add(attributes, order))
-    }
-
-    pub fn regroup(&mut self, attributes: &[&str], order: Direction) -> Result<()> {
-        let record = OpRecord::Regroup {
-            basis: attributes.iter().map(|s| s.to_string()).collect(),
-            order,
-        };
-        self.apply(record, |s| s.regroup(attributes, order))
-    }
-
-    pub fn ungroup(&mut self) -> Result<()> {
-        self.apply(OpRecord::Ungroup, |s| s.ungroup())
-    }
-
-    pub fn order(&mut self, attribute: &str, order: Direction, level: usize) -> Result<()> {
-        let record = OpRecord::Order {
-            attribute: attribute.to_string(),
-            order,
-            level,
-        };
-        self.apply(record, |s| s.order(attribute, order, level))
-    }
-
-    pub fn select(&mut self, predicate: Expr) -> Result<u64> {
-        // The id is assigned inside; patch the record afterwards.
-        let text = predicate.to_string();
-        let snapshot = self.sheet.snapshot();
-        match self.sheet.select(predicate) {
-            Ok(id) => {
-                self.undo_stack.push((
-                    OpRecord::Select {
-                        id,
-                        predicate: text,
-                    },
-                    snapshot,
-                ));
-                self.redo_stack.clear();
-                Ok(id)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    pub fn project_out(&mut self, column: &str) -> Result<()> {
-        let record = OpRecord::Project {
-            column: column.to_string(),
-        };
-        self.apply(record, |s| s.project_out(column))
-    }
-
-    pub fn reinstate(&mut self, column: &str) -> Result<()> {
-        let record = OpRecord::Reinstate {
-            column: column.to_string(),
-        };
-        self.apply(record, |s| s.reinstate(column))
-    }
-
-    pub fn aggregate(&mut self, func: AggFunc, column: &str, level: usize) -> Result<String> {
-        let snapshot = self.sheet.snapshot();
-        match self.sheet.aggregate(func, column, level) {
-            Ok(name) => {
-                self.undo_stack.push((
-                    OpRecord::Aggregate {
-                        column: name.clone(),
-                        func,
-                        input: column.to_string(),
-                        level,
-                    },
-                    snapshot,
-                ));
-                self.redo_stack.clear();
-                Ok(name)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    pub fn formula(&mut self, name: Option<&str>, expr: Expr) -> Result<String> {
-        let text = expr.to_string();
-        let snapshot = self.sheet.snapshot();
-        match self.sheet.formula(name, expr) {
-            Ok(col) => {
-                self.undo_stack.push((
-                    OpRecord::Formula {
-                        column: col.clone(),
-                        expr: text,
-                    },
-                    snapshot,
-                ));
-                self.redo_stack.clear();
-                Ok(col)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    pub fn dedup(&mut self) -> Result<()> {
-        self.apply(OpRecord::Dedup, |s| s.dedup())
-    }
-
-    pub fn rename(&mut self, from: &str, to: &str) -> Result<()> {
-        let record = OpRecord::Rename {
-            from: from.to_string(),
-            to: to.to_string(),
-        };
-        self.apply(record, |s| s.rename(from, to))
-    }
-
-    pub fn product(&mut self, stored: &StoredSheet) -> Result<()> {
-        let record = OpRecord::Product {
-            with: stored.name.clone(),
-        };
-        self.apply(record, |s| s.product(stored))
-    }
-
-    pub fn join(&mut self, stored: &StoredSheet, condition: Expr) -> Result<()> {
-        let record = OpRecord::Join {
-            with: stored.name.clone(),
-            condition: condition.to_string(),
-        };
-        self.apply(record, |s| s.join(stored, condition))
-    }
-
-    pub fn union(&mut self, stored: &StoredSheet) -> Result<()> {
-        let record = OpRecord::Union {
-            with: stored.name.clone(),
-        };
-        self.apply(record, |s| s.union(stored))
-    }
-
-    pub fn difference(&mut self, stored: &StoredSheet) -> Result<()> {
-        let record = OpRecord::Difference {
-            with: stored.name.clone(),
-        };
-        self.apply(record, |s| s.difference(stored))
-    }
-
-    pub fn save(&self, name: impl Into<String>) -> Result<StoredSheet> {
-        self.sheet.save(name)
-    }
-
-    // --- query modification (recorded) ---------------------------------
 
     /// If a selection id is gone because a binary operator consumed it,
     /// say so precisely: "where data from other sheets has been pulled in
@@ -448,15 +286,13 @@ impl Engine {
         if !matches!(err, SheetError::UnknownSelection { .. }) {
             return err;
         }
-        let mut described: Option<String> = None;
-        for (op, _) in &self.undo_stack {
-            match op {
-                OpRecord::Select { id: sid, predicate } if *sid == id => {
-                    described = Some(predicate.clone());
-                }
-                _ if op.is_binary() && described.is_some() => {
+        let mut described: Option<&str> = None;
+        for (entry, _) in &self.undo_stack {
+            match (&entry.selection, described) {
+                (Some((sid, predicate)), _) if *sid == id => described = Some(predicate),
+                (_, Some(description)) if entry.binary => {
                     return SheetError::BehindNonCommutativityPoint {
-                        description: described.expect("just checked"),
+                        description: description.to_string(),
                     };
                 }
                 _ => {}
@@ -465,66 +301,78 @@ impl Engine {
         err
     }
 
-    pub fn replace_selection(&mut self, id: u64, predicate: Expr) -> Result<()> {
-        let record = OpRecord::ModifySelection {
-            id,
-            predicate: predicate.to_string(),
-        };
-        self.apply(record, |s| s.replace_selection(id, predicate))
-            .map_err(|e| self.diagnose_missing_selection(id, e))
+    /// Save the current sheet (Sec. III-C): the right operand of a later
+    /// binary operator. Not an edit, so nothing is recorded.
+    pub fn save(&self, name: impl Into<String>) -> Result<StoredSheet> {
+        self.sheet.save(name)
     }
 
-    pub fn remove_selection(&mut self, id: u64) -> Result<()> {
-        self.apply(OpRecord::RemoveSelection { id }, |s| s.remove_selection(id))
-            .map_err(|e| self.diagnose_missing_selection(id, e))
+    // --- wrappers over `apply`, kept for `perfbench/` --------------------
+
+    /// Kept for `perfbench/`; everything else calls [`Self::apply`].
+    pub fn select(&mut self, predicate: Expr) -> Result<u64> {
+        self.apply(SheetOp::Select { predicate })?.selection()
     }
 
-    pub fn remove_computed(&mut self, column: &str) -> Result<()> {
-        let record = OpRecord::RemoveComputed {
-            column: column.to_string(),
-        };
-        self.apply(record, |s| s.remove_computed(column))
+    /// Kept for `perfbench/`; everything else calls [`Self::apply`].
+    pub fn replace_selection(&mut self, target: u64, predicate: Expr) -> Result<()> {
+        self.apply(SheetOp::ReplaceSelection { target, predicate })
+            .map(drop)
     }
 
-    // --- base-data edits (recorded) ------------------------------------
-
-    /// Feed rows into the base relation (DESIGN.md §14). Undo restores
-    /// the pre-append base via the snapshot, like every other entry.
-    pub fn append_rows(&mut self, rows: Vec<ssa_relation::Tuple>) -> Result<usize> {
-        let record = OpRecord::AppendRows { count: rows.len() };
-        self.apply(record, |s| s.append_rows(rows))
+    /// Kept for `perfbench/`; everything else calls [`Self::apply`].
+    pub fn remove_selection(&mut self, target: u64) -> Result<()> {
+        self.apply(SheetOp::RemoveSelection { target }).map(drop)
     }
 
-    pub fn delete_rows(&mut self, ids: &[u32]) -> Result<usize> {
-        let record = OpRecord::DeleteRows { count: ids.len() };
-        self.apply(record, |s| s.delete_rows(ids))
+    /// Kept for `perfbench/`; everything else calls [`Self::apply`].
+    pub fn formula(&mut self, name: Option<&str>, expr: Expr) -> Result<String> {
+        let name = name.map(str::to_string);
+        self.apply(SheetOp::Formula { name, expr })?.column()
     }
 
-    /// Delete by predicate; the record carries the actual row count.
-    pub fn delete_where(&mut self, predicate: &Expr) -> Result<usize> {
-        let snapshot = self.sheet.snapshot();
-        match self.sheet.delete_where(predicate) {
-            Ok(count) => {
-                self.undo_stack
-                    .push((OpRecord::DeleteRows { count }, snapshot));
-                self.redo_stack.clear();
-                Ok(count)
-            }
-            Err(e) => Err(e),
-        }
+    /// Kept for `perfbench/`; everything else calls [`Self::apply`].
+    pub fn aggregate(&mut self, func: AggFunc, column: &str, level: usize) -> Result<String> {
+        let column = column.to_string();
+        self.apply(SheetOp::Aggregate {
+            func,
+            column,
+            level,
+        })?
+        .column()
     }
 
-    pub fn update_cell(
-        &mut self,
-        row: u32,
-        column: &str,
-        value: ssa_relation::Value,
-    ) -> Result<ssa_relation::Value> {
-        let record = OpRecord::UpdateCell {
-            column: column.to_string(),
-            row,
-        };
-        self.apply(record, |s| s.update_cell(row, column, value))
+    /// Kept for `perfbench/`; everything else calls [`Self::apply`].
+    pub fn group_add(&mut self, attributes: &[&str], direction: Direction) -> Result<()> {
+        let attributes = attributes.iter().map(|a| a.to_string()).collect();
+        self.apply(SheetOp::Group {
+            attributes,
+            direction,
+        })
+        .map(drop)
+    }
+
+    /// Kept for `perfbench/`; everything else calls [`Self::apply`].
+    pub fn order(&mut self, attribute: &str, direction: Direction, level: usize) -> Result<()> {
+        let attribute = attribute.to_string();
+        self.apply(SheetOp::Order {
+            attribute,
+            direction,
+            level,
+        })
+        .map(drop)
+    }
+
+    /// Kept for `perfbench/`; everything else calls [`Self::apply`].
+    pub fn project_out(&mut self, column: &str) -> Result<()> {
+        let column = column.to_string();
+        self.apply(SheetOp::ProjectOut { column }).map(drop)
+    }
+
+    /// Kept for `perfbench/`; everything else calls [`Self::apply`].
+    pub fn reinstate(&mut self, column: &str) -> Result<()> {
+        let column = column.to_string();
+        self.apply(SheetOp::Reinstate { column }).map(drop)
     }
 }
 
@@ -537,12 +385,43 @@ mod tests {
         Engine::over(used_cars())
     }
 
+    fn select(predicate: Expr) -> SheetOp {
+        SheetOp::Select { predicate }
+    }
+
+    fn year_is(year: i64) -> SheetOp {
+        select(Expr::col("Year").eq(Expr::lit(year)))
+    }
+
+    fn model_is(model: &str) -> SheetOp {
+        select(Expr::col("Model").eq(Expr::lit(model)))
+    }
+
+    fn group(attribute: &str) -> SheetOp {
+        SheetOp::Group {
+            attributes: vec![attribute.into()],
+            direction: Direction::Asc,
+        }
+    }
+
+    fn avg_price(level: usize) -> SheetOp {
+        SheetOp::Aggregate {
+            func: AggFunc::Avg,
+            column: "Price".into(),
+            level,
+        }
+    }
+
+    fn selection_id(e: &mut Engine, op: SheetOp) -> u64 {
+        e.apply(op).unwrap().selection().unwrap()
+    }
+
     #[test]
     fn history_is_a_numbered_list_with_meaningful_names() {
         let mut e = engine();
-        e.select(Expr::col("Year").eq(Expr::lit(2005))).unwrap();
-        e.group_add(&["Model"], Direction::Asc).unwrap();
-        e.aggregate(AggFunc::Avg, "Price", 2).unwrap();
+        e.apply(year_is(2005)).unwrap();
+        e.apply(group("Model")).unwrap();
+        e.apply(avg_price(2)).unwrap();
         let h = e.history();
         assert_eq!(h.len(), 3);
         assert!(h[0].starts_with("1. Select [Year = 2005]"));
@@ -553,10 +432,10 @@ mod tests {
     #[test]
     fn undo_redo_single_step() {
         let mut e = engine();
-        e.select(Expr::col("Model").eq(Expr::lit("Civic"))).unwrap();
+        e.apply(model_is("Civic")).unwrap();
         assert_eq!(e.view().unwrap().len(), 3);
-        let op = e.undo().unwrap();
-        assert!(matches!(op, OpRecord::Select { .. }));
+        let line = e.undo().unwrap();
+        assert!(line.starts_with("Select "), "{line}");
         assert_eq!(e.view().unwrap().len(), 9);
         e.redo().unwrap();
         assert_eq!(e.view().unwrap().len(), 3);
@@ -565,9 +444,12 @@ mod tests {
     #[test]
     fn undo_redo_multi_step() {
         let mut e = engine();
-        e.select(Expr::col("Year").eq(Expr::lit(2005))).unwrap();
-        e.select(Expr::col("Model").eq(Expr::lit("Jetta"))).unwrap();
-        e.project_out("Mileage").unwrap();
+        e.apply(year_is(2005)).unwrap();
+        e.apply(model_is("Jetta")).unwrap();
+        e.apply(SheetOp::ProjectOut {
+            column: "Mileage".into(),
+        })
+        .unwrap();
         e.undo_steps(3).unwrap();
         assert_eq!(e.view().unwrap().len(), 9);
         assert_eq!(e.view().unwrap().visible.len(), 6);
@@ -582,9 +464,9 @@ mod tests {
     #[test]
     fn new_operation_clears_redo() {
         let mut e = engine();
-        e.select(Expr::col("Year").eq(Expr::lit(2005))).unwrap();
+        e.apply(year_is(2005)).unwrap();
         e.undo().unwrap();
-        e.dedup().unwrap();
+        e.apply(SheetOp::Dedup).unwrap();
         assert!(matches!(
             e.redo(),
             Err(SheetError::HistoryExhausted { redo: true })
@@ -603,9 +485,21 @@ mod tests {
     #[test]
     fn failed_operation_records_nothing() {
         let mut e = engine();
-        assert!(e.select(Expr::col("Ghost").eq(Expr::lit(1))).is_err());
-        assert!(e.aggregate(AggFunc::Avg, "Model", 1).is_err());
-        assert!(e.order("Price", Direction::Asc, 5).is_err());
+        assert!(e
+            .apply(select(Expr::col("Ghost").eq(Expr::lit(1))))
+            .is_err());
+        let avg_model = SheetOp::Aggregate {
+            func: AggFunc::Avg,
+            column: "Model".into(),
+            level: 1,
+        };
+        assert!(e.apply(avg_model).is_err());
+        let order = SheetOp::Order {
+            attribute: "Price".into(),
+            direction: Direction::Asc,
+            level: 5,
+        };
+        assert!(e.apply(order).is_err());
         assert!(e.history().is_empty());
         assert_eq!(e.view().unwrap().len(), 9);
     }
@@ -625,59 +519,83 @@ mod tests {
     #[test]
     fn modification_ops_are_history_entries() {
         let mut e = engine();
-        let id = e.select(Expr::col("Year").eq(Expr::lit(2005))).unwrap();
-        e.replace_selection(id, Expr::col("Year").eq(Expr::lit(2006)))
-            .unwrap();
+        let id = selection_id(&mut e, year_is(2005));
+        e.apply(SheetOp::ReplaceSelection {
+            target: id,
+            predicate: Expr::col("Year").eq(Expr::lit(2006)),
+        })
+        .unwrap();
         assert_eq!(e.view().unwrap().len(), 5);
         assert!(e.history()[1].contains("Modify selection"));
         e.undo().unwrap();
         assert_eq!(e.view().unwrap().len(), 4);
-        e.remove_selection(id).unwrap();
+        e.apply(SheetOp::RemoveSelection { target: id }).unwrap();
         assert_eq!(e.view().unwrap().len(), 9);
     }
 
     #[test]
     fn modifying_behind_a_binary_operator_is_diagnosed() {
         let mut e = engine();
-        let id = e.select(Expr::col("Model").eq(Expr::lit("Jetta"))).unwrap();
+        let id = selection_id(&mut e, model_is("Jetta"));
         let stored = e.save("all").unwrap();
         e.union(&stored).unwrap();
         let err = e
-            .replace_selection(id, Expr::col("Model").eq(Expr::lit("Civic")))
+            .apply(SheetOp::ReplaceSelection {
+                target: id,
+                predicate: Expr::col("Model").eq(Expr::lit("Civic")),
+            })
             .unwrap_err();
         assert!(
             matches!(err, SheetError::BehindNonCommutativityPoint { .. }),
             "got {err:?}"
         );
         assert!(err.to_string().contains("point of non-commutativity"));
-        let err = e.remove_selection(id).unwrap_err();
+        let err = e
+            .apply(SheetOp::RemoveSelection { target: id })
+            .unwrap_err();
         assert!(matches!(
             err,
             SheetError::BehindNonCommutativityPoint { .. }
         ));
         // a genuinely unknown id stays UnknownSelection
-        let err = e.remove_selection(999).unwrap_err();
+        let err = e
+            .apply(SheetOp::RemoveSelection { target: 999 })
+            .unwrap_err();
         assert!(matches!(err, SheetError::UnknownSelection { .. }));
     }
 
     #[test]
     fn binary_records_flagged() {
-        assert!(OpRecord::Union { with: "x".into() }.is_binary());
-        assert!(!OpRecord::Dedup.is_binary());
+        let mut e = engine();
+        let stored = e.save("x").unwrap();
+        e.union(&stored).unwrap();
+        e.apply(SheetOp::Dedup).unwrap();
+        let binary: Vec<bool> = e.records().iter().map(|r| r.binary).collect();
+        assert_eq!(binary, [true, false]);
     }
 
     #[test]
     fn base_edits_are_recorded_and_undoable() {
         use ssa_relation::{tuple, Value};
         let mut e = engine();
-        e.group_add(&["Model"], Direction::Asc).unwrap();
+        e.apply(group("Model")).unwrap();
         e.view().unwrap();
-        e.append_rows(vec![tuple![999, "Jetta", 15500, 2005, 60000, "Good"]])
-            .unwrap();
+        e.apply(SheetOp::AppendRows {
+            rows: vec![tuple![999, "Jetta", 15500, 2005, 60000, "Good"]],
+        })
+        .unwrap();
         assert_eq!(e.view().unwrap().len(), 10);
-        e.update_cell(9, "Price", Value::Int(15750)).unwrap();
-        e.delete_where(&Expr::col("Model").eq(Expr::lit("Civic")))
-            .unwrap();
+        e.apply(SheetOp::UpdateCell {
+            row: 9,
+            column: "Price".into(),
+            value: Value::Int(15750),
+        })
+        .unwrap();
+        let base = e.sheet().base();
+        let civics: Vec<u32> = (0..base.len() as u32)
+            .filter(|&i| base.value_at(i as usize, "Model").unwrap() == &Value::str("Civic"))
+            .collect();
+        e.apply(SheetOp::DeleteRows { ids: civics }).unwrap();
         assert_eq!(e.view().unwrap().len(), 7);
         let h = e.history();
         assert!(h[1].contains("Append 1 row(s)"));
@@ -693,7 +611,10 @@ mod tests {
     #[test]
     fn failed_base_edit_records_nothing() {
         let mut e = engine();
-        assert!(e.append_rows(vec![ssa_relation::tuple![1]]).is_err());
+        let short_row = SheetOp::AppendRows {
+            rows: vec![ssa_relation::tuple![1]],
+        };
+        assert!(e.apply(short_row).is_err());
         assert!(e.history().is_empty());
         assert_eq!(e.view().unwrap().len(), 9);
     }

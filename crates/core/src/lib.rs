@@ -67,12 +67,12 @@ pub use computed::{ComputedColumn, ComputedDef};
 pub use delta::StateDelta;
 pub use error::{Result, SheetError};
 pub use eval::{evaluate, evaluate_with, Derived, EvalOptions};
-pub use history::{Engine, OpRecord};
+pub use history::{Engine, HistoryEntry};
 pub use modify::RemovalPlan;
 pub use plan::{join_with_pushdown, plan_tables, Plan, PlanNode, TablePlan};
-pub use precedence::{may_commute, precedes, AlgebraOp, OpSignature};
+pub use precedence::{may_commute, precedes, OpSignature};
 pub use replica::{
-    EventId, EventKey, MergeOutcome, MergePath, OpEvent, Replica, SheetOp, VersionVector,
+    Applied, EventId, EventKey, MergeOutcome, MergePath, OpEvent, Replica, SheetOp, VersionVector,
 };
 pub use sheet::{Spreadsheet, StoredSheet};
 pub use spec::{Direction, GroupLevel, OrderKey, Spec};
@@ -84,8 +84,8 @@ pub use tree::{GroupNode, GroupTree, RowRange};
 /// Everything needed for typical use.
 pub mod prelude {
     pub use crate::history::Engine;
-    pub use crate::precedence::AlgebraOp;
     pub use crate::render::{render_markdown, render_table, render_tree};
+    pub use crate::replica::{Applied, SheetOp};
     pub use crate::sheet::{Spreadsheet, StoredSheet};
     pub use crate::spec::{Direction, OrderKey};
     pub use ssa_relation::{AggFunc, CmpOp, Expr, Relation, RowValues, Value};

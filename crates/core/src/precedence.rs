@@ -6,110 +6,41 @@
 //! neither of them can precede the other." Binary operators create a
 //! *point of non-commutativity*.
 //!
-//! This module makes those notions executable: [`AlgebraOp`] is a
-//! first-class description of one unary operator invocation,
-//! [`OpSignature`] captures what it creates / requires / removes, and
-//! [`may_commute`] is a conservative decision procedure — when it says
-//! `true`, applying the two operators in either order provably yields the
-//! same spreadsheet (the property tests in `tests/commutativity.rs` check
-//! this against the evaluator). Beyond the paper's column-based rule we
-//! also track *grouping levels*, since an aggregate instance additionally
-//! requires its grouping level to exist and keep its basis.
+//! This module makes those notions executable over [`SheetOp`], the one
+//! description of an operator instance that history, replication and
+//! the tests share: [`SheetOp::signature`] captures what an instance
+//! creates / requires / removes, and [`may_commute`] is a conservative
+//! decision procedure — when it says `true`, applying the two operators
+//! in either order provably yields the same spreadsheet (the property
+//! tests in `tests/commutativity.rs` check this against the evaluator).
+//! Beyond the paper's column-based rule we also track *grouping levels*,
+//! since an aggregate instance additionally requires its grouping level
+//! to exist and keep its basis. Binary operators are not `SheetOp`s:
+//! they are points of non-commutativity by definition.
 
-use crate::error::Result;
+use crate::replica::SheetOp;
 use crate::sheet::Spreadsheet;
-use crate::spec::Direction;
-use ssa_relation::{AggFunc, Expr};
 use std::collections::BTreeSet;
-use std::fmt;
 
-/// One unary operator invocation, as data. (Binary operators are points
-/// of non-commutativity by definition and have no entry here.)
-#[derive(Debug, Clone, PartialEq)]
-pub enum AlgebraOp {
-    Select {
-        predicate: Expr,
-    },
-    Project {
-        column: String,
-    },
-    Reinstate {
-        column: String,
-    },
-    Aggregate {
-        func: AggFunc,
-        column: String,
-        level: usize,
-    },
-    Formula {
-        name: Option<String>,
-        expr: Expr,
-    },
-    Dedup,
-    Group {
-        basis: Vec<String>,
-        order: Direction,
-    },
-    Order {
-        attribute: String,
-        order: Direction,
-        level: usize,
-    },
-}
-
-impl AlgebraOp {
-    /// Apply this operator to a sheet.
-    pub fn apply(&self, sheet: &mut Spreadsheet) -> Result<()> {
-        match self {
-            AlgebraOp::Select { predicate } => {
-                sheet.select(predicate.clone())?;
-            }
-            AlgebraOp::Project { column } => sheet.project_out(column)?,
-            AlgebraOp::Reinstate { column } => sheet.reinstate(column)?,
-            AlgebraOp::Aggregate {
-                func,
-                column,
-                level,
-            } => {
-                sheet.aggregate(*func, column, *level)?;
-            }
-            AlgebraOp::Formula { name, expr } => {
-                sheet.formula(name.as_deref(), expr.clone())?;
-            }
-            AlgebraOp::Dedup => sheet.dedup()?,
-            AlgebraOp::Group { basis, order } => {
-                let refs: Vec<&str> = basis.iter().map(|s| s.as_str()).collect();
-                sheet.group(&refs, *order)?;
-            }
-            AlgebraOp::Order {
-                attribute,
-                order,
-                level,
-            } => {
-                sheet.order(attribute, *order, *level)?;
-            }
-        }
-        Ok(())
-    }
-
+impl SheetOp {
     /// Compute the signature of this instance against the sheet it would
     /// be applied to.
     pub fn signature(&self, sheet: &Spreadsheet) -> OpSignature {
         let mut sig = OpSignature::default();
         match self {
-            AlgebraOp::Select { predicate } => {
+            SheetOp::Select { predicate } => {
                 sig.requires = predicate.columns();
             }
-            AlgebraOp::Project { column } => {
+            SheetOp::ProjectOut { column } => {
                 // Removing a computed column kills its definition; hiding a
                 // base column is treated as a removal too for conflict
                 // purposes (conservative).
                 sig.removes.insert(column.clone());
             }
-            AlgebraOp::Reinstate { column } => {
+            SheetOp::Reinstate { column } => {
                 sig.creates.insert(column.clone());
             }
-            AlgebraOp::Aggregate {
+            SheetOp::Aggregate {
                 func,
                 column,
                 level,
@@ -123,7 +54,7 @@ impl AlgebraOp {
                 ));
                 sig.needs_level = Some(*level);
             }
-            AlgebraOp::Formula { name, expr } => {
+            SheetOp::Formula { name, expr } => {
                 sig.requires = expr.columns();
                 let base = match name {
                     Some(n) => n.clone(),
@@ -131,17 +62,18 @@ impl AlgebraOp {
                 };
                 sig.creates.insert(predicted_name(sheet, &base));
             }
-            AlgebraOp::Dedup => {}
-            AlgebraOp::Group { basis, order: _ } => {
-                sig.requires.extend(basis.iter().cloned());
+            SheetOp::Dedup => {}
+            SheetOp::Group { attributes, .. } => {
+                // Relative: the new level's absolute basis is the current
+                // grouping plus `attributes`, and all of it is required.
+                sig.requires = sheet.state().spec.all_grouping_attributes();
+                sig.requires.extend(attributes.iter().cloned());
                 sig.structural = true;
                 // Adding a level never disturbs existing levels' bases.
                 sig.creates_level = Some(sheet.state().spec.level_count() + 1);
             }
-            AlgebraOp::Order {
-                attribute,
-                order: _,
-                level,
+            SheetOp::Order {
+                attribute, level, ..
             } => {
                 sig.requires.insert(attribute.clone());
                 sig.structural = true;
@@ -152,6 +84,9 @@ impl AlgebraOp {
                     sig.destroys_levels_above = Some(*level);
                 }
             }
+            // Base edits, renames, query modification, regrouping and
+            // column removal are outside Theorem 2's unary operators.
+            _ => sig.barrier = true,
         }
         sig
     }
@@ -169,35 +104,6 @@ fn predicted_name(sheet: &Spreadsheet, base: &str) -> String {
             return candidate;
         }
         i += 1;
-    }
-}
-
-impl fmt::Display for AlgebraOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AlgebraOp::Select { predicate } => write!(f, "σ[{predicate}]"),
-            AlgebraOp::Project { column } => write!(f, "π[{column}]"),
-            AlgebraOp::Reinstate { column } => write!(f, "π̄[{column}]"),
-            AlgebraOp::Aggregate {
-                func,
-                column,
-                level,
-            } => {
-                write!(f, "η[{func}({column}) @L{level}]")
-            }
-            AlgebraOp::Formula { name, expr } => {
-                write!(f, "θ[{} = {expr}]", name.as_deref().unwrap_or("<auto>"))
-            }
-            AlgebraOp::Dedup => write!(f, "δ[DE]"),
-            AlgebraOp::Group { basis, order } => write!(f, "τ[{{{}}} {order}]", basis.join(",")),
-            AlgebraOp::Order {
-                attribute,
-                order,
-                level,
-            } => {
-                write!(f, "λ[{attribute} {order} @L{level}]")
-            }
-        }
     }
 }
 
@@ -219,6 +125,8 @@ pub struct OpSignature {
     pub creates_level: Option<usize>,
     /// For ordering case 1: every level above this one is destroyed.
     pub destroys_levels_above: Option<usize>,
+    /// An op outside Theorem 2's unary operators: commutes with nothing.
+    pub barrier: bool,
 }
 
 /// The paper's precedence relation: does `p` precede `q`?
@@ -243,11 +151,11 @@ pub fn precedes(p: &OpSignature, q: &OpSignature) -> bool {
 /// Conservative commutativity check for two instances against the sheet
 /// both would start from. `true` ⇒ the two orders produce identical
 /// spreadsheets (Theorem 2, with precedence satisfied).
-pub fn may_commute(a: &AlgebraOp, b: &AlgebraOp, sheet: &Spreadsheet) -> bool {
+pub fn may_commute(a: &SheetOp, b: &SheetOp, sheet: &Spreadsheet) -> bool {
     let sa = a.signature(sheet);
     let sb = b.signature(sheet);
     // Grouping and ordering do not commute with each other (Sec. IV-B).
-    if sa.structural && sb.structural {
+    if sa.barrier || sb.barrier || (sa.structural && sb.structural) {
         return false;
     }
     if precedes(&sa, &sb) || precedes(&sb, &sa) {
@@ -288,14 +196,31 @@ pub fn may_commute(a: &AlgebraOp, b: &AlgebraOp, sheet: &Spreadsheet) -> bool {
 mod tests {
     use super::*;
     use crate::fixtures::used_cars;
+    use crate::spec::Direction;
+    use ssa_relation::{AggFunc, Expr};
 
     fn sheet() -> Spreadsheet {
         Spreadsheet::over(used_cars())
     }
 
-    fn sel(col: &str, v: i64) -> AlgebraOp {
-        AlgebraOp::Select {
+    fn sel(col: &str, v: i64) -> SheetOp {
+        SheetOp::Select {
             predicate: Expr::col(col).lt(Expr::lit(v)),
+        }
+    }
+
+    fn avg_price(level: usize) -> SheetOp {
+        SheetOp::Aggregate {
+            func: AggFunc::Avg,
+            column: "Price".into(),
+            level,
+        }
+    }
+
+    fn group(attribute: &str) -> SheetOp {
+        SheetOp::Group {
+            attributes: vec![attribute.into()],
+            direction: Direction::Asc,
         }
     }
 
@@ -308,12 +233,8 @@ mod tests {
     #[test]
     fn aggregation_then_dependent_selection_is_precedence() {
         let s = sheet();
-        let agg = AlgebraOp::Aggregate {
-            func: AggFunc::Avg,
-            column: "Price".into(),
-            level: 1,
-        };
-        let dep = AlgebraOp::Select {
+        let agg = avg_price(1);
+        let dep = SheetOp::Select {
             predicate: Expr::col("Price").lt(Expr::col("Avg_Price")),
         };
         assert!(!may_commute(&agg, &dep, &s));
@@ -327,23 +248,18 @@ mod tests {
     fn aggregation_and_independent_selection_commute() {
         // The surprising pair from Theorem 2's proof sketch.
         let s = sheet();
-        let agg = AlgebraOp::Aggregate {
-            func: AggFunc::Avg,
-            column: "Price".into(),
-            level: 1,
-        };
-        assert!(may_commute(&agg, &sel("Year", 2006), &s));
+        assert!(may_commute(&avg_price(1), &sel("Year", 2006), &s));
     }
 
     #[test]
     fn projection_conflicts_with_selection_on_same_column() {
         let s = sheet();
-        let p = AlgebraOp::Project {
+        let p = SheetOp::ProjectOut {
             column: "Price".into(),
         };
         assert!(!may_commute(&p, &sel("Price", 16000), &s));
         // but projection of an unrelated column commutes
-        let p2 = AlgebraOp::Project {
+        let p2 = SheetOp::ProjectOut {
             column: "Mileage".into(),
         };
         assert!(may_commute(&p2, &sel("Price", 16000), &s));
@@ -352,13 +268,9 @@ mod tests {
     #[test]
     fn two_aggregates_with_same_generated_name_conflict() {
         let s = sheet();
-        let a = AlgebraOp::Aggregate {
-            func: AggFunc::Avg,
-            column: "Price".into(),
-            level: 1,
-        };
+        let a = avg_price(1);
         assert!(!may_commute(&a, &a.clone(), &s));
-        let b = AlgebraOp::Aggregate {
+        let b = SheetOp::Aggregate {
             func: AggFunc::Max,
             column: "Price".into(),
             level: 1,
@@ -369,41 +281,37 @@ mod tests {
     #[test]
     fn grouping_and_ordering_do_not_commute() {
         let s = sheet();
-        let g = AlgebraOp::Group {
-            basis: vec!["Model".into()],
-            order: Direction::Asc,
-        };
-        let o = AlgebraOp::Order {
+        let o = SheetOp::Order {
             attribute: "Price".into(),
-            order: Direction::Asc,
+            direction: Direction::Asc,
             level: 1,
         };
-        assert!(!may_commute(&g, &o, &s));
+        assert!(!may_commute(&group("Model"), &o, &s));
     }
 
     #[test]
     fn grouping_commutes_with_dedup_and_selection() {
         let s = sheet();
-        let g = AlgebraOp::Group {
-            basis: vec!["Model".into()],
-            order: Direction::Asc,
+        assert!(may_commute(&group("Model"), &SheetOp::Dedup, &s));
+        assert!(may_commute(&group("Model"), &sel("Price", 16000), &s));
+    }
+
+    #[test]
+    fn ops_outside_the_unary_algebra_commute_with_nothing() {
+        let s = sheet();
+        let rename = SheetOp::Rename {
+            from: "Mileage".into(),
+            to: "Miles".into(),
         };
-        assert!(may_commute(&g, &AlgebraOp::Dedup, &s));
-        assert!(may_commute(&g, &sel("Price", 16000), &s));
+        assert!(!may_commute(&rename, &SheetOp::Dedup, &s));
+        assert!(!may_commute(&sel("Price", 1), &SheetOp::Ungroup, &s));
     }
 
     #[test]
     fn aggregate_needing_new_level_is_preceded_by_group() {
         let s = sheet();
-        let g = AlgebraOp::Group {
-            basis: vec!["Model".into()],
-            order: Direction::Asc,
-        };
-        let a = AlgebraOp::Aggregate {
-            func: AggFunc::Avg,
-            column: "Price".into(),
-            level: 2,
-        };
+        let g = group("Model");
+        let a = avg_price(2);
         assert!(!may_commute(&g, &a, &s));
         let sg = g.signature(&s);
         let sa = a.signature(&s);
@@ -415,66 +323,13 @@ mod tests {
         let mut s = sheet();
         s.group(&["Model"], Direction::Asc).unwrap();
         s.group(&["Model", "Year"], Direction::Asc).unwrap();
-        let destroyer = AlgebraOp::Order {
+        let destroyer = SheetOp::Order {
             attribute: "Mileage".into(),
-            order: Direction::Asc,
+            direction: Direction::Asc,
             level: 2,
         };
-        let deep_agg = AlgebraOp::Aggregate {
-            func: AggFunc::Avg,
-            column: "Price".into(),
-            level: 3,
-        };
-        assert!(!may_commute(&destroyer, &deep_agg, &s));
+        assert!(!may_commute(&destroyer, &avg_price(3), &s));
         // a level-1 aggregate is untouched by the destruction
-        let shallow = AlgebraOp::Aggregate {
-            func: AggFunc::Avg,
-            column: "Price".into(),
-            level: 1,
-        };
-        assert!(may_commute(&destroyer, &shallow, &s));
-    }
-
-    #[test]
-    fn apply_executes_each_variant() {
-        let mut s = sheet();
-        for op in [
-            AlgebraOp::Group {
-                basis: vec!["Model".into()],
-                order: Direction::Asc,
-            },
-            AlgebraOp::Order {
-                attribute: "Price".into(),
-                order: Direction::Asc,
-                level: 2,
-            },
-            sel("Price", 20000),
-            AlgebraOp::Aggregate {
-                func: AggFunc::Avg,
-                column: "Price".into(),
-                level: 2,
-            },
-            AlgebraOp::Formula {
-                name: Some("Delta".into()),
-                expr: Expr::col("Price").sub(Expr::col("Avg_Price")),
-            },
-            AlgebraOp::Dedup,
-            AlgebraOp::Project {
-                column: "Mileage".into(),
-            },
-            AlgebraOp::Reinstate {
-                column: "Mileage".into(),
-            },
-        ] {
-            op.apply(&mut s)
-                .unwrap_or_else(|e| panic!("{op} failed: {e}"));
-        }
-        assert_eq!(s.evaluate_now().unwrap().len(), 9);
-    }
-
-    #[test]
-    fn display_uses_algebra_symbols() {
-        assert_eq!(sel("Price", 1).to_string(), "σ[Price < 1]");
-        assert_eq!(AlgebraOp::Dedup.to_string(), "δ[DE]");
+        assert!(may_commute(&destroyer, &avg_price(1), &s));
     }
 }

@@ -38,6 +38,11 @@
 //! non-commutativity in the paper and are deliberately *not* replicated
 //! ops — they seal history, which is what [`Replica::mark_compacted`]
 //! models explicitly.
+//!
+//! [`SheetOp`] is also the one description of an operator instance
+//! outside replication (DESIGN.md §19): [`Spreadsheet::apply`], defined
+//! here, is the only place an op becomes an operator call, and the
+//! history engine, the script host and the tests all build `SheetOp`s.
 
 use crate::error::{Result, SheetError};
 use crate::persist::{
@@ -169,10 +174,12 @@ pub type EventKey = (u64, u64, u64);
 // Replicated operators
 // ---------------------------------------------------------------------------
 
-/// One replicable mutation: a base-data delta (Sec. §14's streaming
-/// deltas) or a unary query-state operator (Sec. III). Binary operators
-/// are excluded — they are points of non-commutativity and seal history
-/// via compaction instead.
+/// One mutation: a base-data delta (Sec. §14's streaming deltas), a
+/// unary query-state operator (Sec. III) or a query modification
+/// (Sec. V). History records it, replicas exchange it, and
+/// [`crate::may_commute`] reasons about it. Binary operators are
+/// excluded — they are points of non-commutativity and seal history via
+/// compaction instead.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SheetOp {
     AppendRows {
@@ -230,8 +237,10 @@ pub enum SheetOp {
         column: String,
         level: usize,
     },
+    /// θ — with no name, the sheet generates one (`F1`, ...), as
+    /// [`Spreadsheet::formula`] does.
     Formula {
-        name: String,
+        name: Option<String>,
         expr: Expr,
     },
     RemoveComputed {
@@ -274,57 +283,6 @@ impl SheetOp {
                 | SheetOp::ReplaceSelection { .. }
                 | SheetOp::RemoveSelection { .. }
         )
-    }
-
-    /// Apply to a sheet on behalf of event `id`. Errors are the
-    /// operator's own (unknown column, bad level, ...) and are
-    /// deterministic functions of the sheet state.
-    pub fn apply(&self, sheet: &mut Spreadsheet, id: EventId) -> Result<()> {
-        match self {
-            SheetOp::AppendRows { rows } => sheet.append_rows(rows.clone()).map(|_| ()),
-            SheetOp::DeleteRows { ids } => sheet.delete_rows(ids).map(|_| ()),
-            SheetOp::UpdateCell { row, column, value } => {
-                sheet.update_cell(*row, column, *value).map(|_| ())
-            }
-            SheetOp::Rename { from, to } => sheet.rename(from, to),
-            SheetOp::Select { predicate } => sheet
-                .select_with_id(id.packed(), predicate.clone())
-                .map(|_| ()),
-            SheetOp::ReplaceSelection { target, predicate } => {
-                sheet.replace_selection(*target, predicate.clone())
-            }
-            SheetOp::RemoveSelection { target } => sheet.remove_selection(*target),
-            SheetOp::Group {
-                attributes,
-                direction,
-            } => {
-                let attrs: Vec<&str> = attributes.iter().map(String::as_str).collect();
-                sheet.group_add(&attrs, *direction)
-            }
-            SheetOp::Regroup {
-                attributes,
-                direction,
-            } => {
-                let attrs: Vec<&str> = attributes.iter().map(String::as_str).collect();
-                sheet.regroup(&attrs, *direction)
-            }
-            SheetOp::Ungroup => sheet.ungroup(),
-            SheetOp::Order {
-                attribute,
-                direction,
-                level,
-            } => sheet.order(attribute, *direction, *level),
-            SheetOp::ProjectOut { column } => sheet.project_out(column),
-            SheetOp::Reinstate { column } => sheet.reinstate(column),
-            SheetOp::Aggregate {
-                func,
-                column,
-                level,
-            } => sheet.aggregate(*func, column, *level).map(|_| ()),
-            SheetOp::Formula { name, expr } => sheet.formula(Some(name), expr.clone()).map(|_| ()),
-            SheetOp::RemoveComputed { name } => sheet.remove_computed(name),
-            SheetOp::Dedup => sheet.dedup(),
-        }
     }
 
     pub(crate) fn to_json(&self) -> Result<Json> {
@@ -397,10 +355,12 @@ impl SheetOp {
                 ("col", Json::Str(column.clone())),
                 ("level", Json::num(level)),
             ]),
-            SheetOp::Formula { name, expr } => tag(vec![
-                ("name", Json::Str(name.clone())),
-                ("expr", expr_to_json(expr)),
-            ]),
+            // An unnamed formula omits `name`, so named ones encode as before.
+            SheetOp::Formula { name, expr } => tag(name
+                .iter()
+                .map(|n| ("name", Json::Str(n.clone())))
+                .chain([("expr", expr_to_json(expr))])
+                .collect()),
             SheetOp::RemoveComputed { name } => tag(vec![("name", Json::Str(name.clone()))]),
         })
     }
@@ -479,7 +439,10 @@ impl SheetOp {
                 level: n("level")? as usize,
             },
             "formula" => SheetOp::Formula {
-                name: s("name")?,
+                name: match j.get("name") {
+                    Some(name) => Some(name.str_value()?.to_string()),
+                    None => None,
+                },
                 expr: expr_from_json(j.field("expr")?)?,
             },
             "remove-computed" => SheetOp::RemoveComputed { name: s("name")? },
@@ -597,7 +560,7 @@ impl SheetOp {
                     .split_once('=')
                     .ok_or_else(|| need("<name> = <expr>"))?;
                 Ok(SheetOp::Formula {
-                    name: name.trim().to_string(),
+                    name: Some(name.trim().to_string()),
                     expr: ssa_relation::expr_parse::parse_expr(expr)?,
                 })
             }
@@ -627,6 +590,119 @@ fn parse_direction(s: &str) -> Result<Direction> {
         Ok(Direction::Desc)
     } else {
         Err(bad_event(format!("bad direction {s:?}")))
+    }
+}
+
+/// What applying one [`SheetOp`] produced besides the new sheet: the
+/// value its operator method returns, for the caller's reply and the
+/// History line.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Applied {
+    /// The operator returns nothing to report.
+    Done,
+    /// σ: the new selection's id.
+    Selection(u64),
+    /// η and θ: the name of the created column.
+    Column(String),
+}
+
+impl Applied {
+    /// The id a σ produced.
+    pub fn selection(self) -> Result<u64> {
+        match self {
+            Applied::Selection(id) => Ok(id),
+            other => Err(not_produced("a selection id", &other)),
+        }
+    }
+
+    /// The column an η or θ created.
+    pub fn column(self) -> Result<String> {
+        match self {
+            Applied::Column(name) => Ok(name),
+            other => Err(not_produced("a column", &other)),
+        }
+    }
+}
+
+fn not_produced(what: &str, applied: &Applied) -> SheetError {
+    SheetError::Internal {
+        detail: format!("expected the op to produce {what}, got {applied:?}"),
+    }
+}
+
+impl Spreadsheet {
+    /// Apply one operator: the one place where a [`SheetOp`] becomes a
+    /// call of an operator method. Errors are the operator's own
+    /// (unknown column, bad level, ...), deterministic functions of the
+    /// sheet, and leave it as it was.
+    pub fn apply(&mut self, op: &SheetOp) -> Result<Applied> {
+        self.apply_as(op, None)
+    }
+
+    /// [`Self::apply`], except that a σ takes `selection_id` instead of
+    /// the sheet's next local id: a replica names each selection after
+    /// the event that created it, so that all replicas agree on it.
+    pub(crate) fn apply_as(&mut self, op: &SheetOp, selection_id: Option<u64>) -> Result<Applied> {
+        fn done<T>(result: Result<T>) -> Result<Applied> {
+            result.map(|_| Applied::Done)
+        }
+        match op {
+            SheetOp::AppendRows { rows } => done(self.append_rows(rows.clone())),
+            SheetOp::DeleteRows { ids } => done(self.delete_rows(ids)),
+            SheetOp::UpdateCell { row, column, value } => {
+                done(self.update_cell(*row, column, *value))
+            }
+            SheetOp::Rename { from, to } => done(self.rename(from, to)),
+            SheetOp::Select { predicate } => match selection_id {
+                Some(id) => self.select_with_id(id, predicate.clone()),
+                None => self.select(predicate.clone()),
+            }
+            .map(Applied::Selection),
+            SheetOp::ReplaceSelection { target, predicate } => {
+                done(self.replace_selection(*target, predicate.clone()))
+            }
+            SheetOp::RemoveSelection { target } => done(self.remove_selection(*target)),
+            SheetOp::Group {
+                attributes,
+                direction,
+            } => done(self.group_add(&str_refs(attributes), *direction)),
+            SheetOp::Regroup {
+                attributes,
+                direction,
+            } => done(self.regroup(&str_refs(attributes), *direction)),
+            SheetOp::Ungroup => done(self.ungroup()),
+            SheetOp::Order {
+                attribute,
+                direction,
+                level,
+            } => done(self.order(attribute, *direction, *level)),
+            SheetOp::ProjectOut { column } => done(self.project_out(column)),
+            SheetOp::Reinstate { column } => done(self.reinstate(column)),
+            SheetOp::Aggregate {
+                func,
+                column,
+                level,
+            } => self.aggregate(*func, column, *level).map(Applied::Column),
+            SheetOp::Formula { name, expr } => self
+                .formula(name.as_deref(), expr.clone())
+                .map(Applied::Column),
+            SheetOp::RemoveComputed { name } => done(self.remove_computed(name)),
+            SheetOp::Dedup => done(self.dedup()),
+        }
+    }
+}
+
+fn str_refs(strings: &[String]) -> Vec<&str> {
+    strings.iter().map(String::as_str).collect()
+}
+
+/// A formula must carry its name to be replicated: an unnamed one takes
+/// the sheet's next generated name (`F1`, ...) from a counter that
+/// replay does not rewind, so replicas could name it differently.
+fn check_replicable(op: &SheetOp) -> Result<()> {
+    match op {
+        SheetOp::Formula { name: None, .. } => Err(bad_event("a replicated formula needs a name")),
+        _ => Ok(()),
     }
 }
 
@@ -880,6 +956,7 @@ impl Replica {
     /// is everything this replica has seen, so it sorts after the entire
     /// current log.
     pub fn commit(&mut self, op: SheetOp) -> Result<OpEvent> {
+        check_replicable(&op)?;
         let seq = self.seen.get(self.id) + 1;
         if seq > MAX_SEQ {
             return Err(SheetError::Internal {
@@ -898,7 +975,7 @@ impl Replica {
             vv,
             op,
         };
-        event.op.apply(&mut self.sheet, id)?;
+        self.sheet.apply_as(&event.op, Some(id.packed()))?;
         self.adopt(event.clone());
         Ok(event)
     }
@@ -991,6 +1068,7 @@ impl Replica {
                     event.replica, event.seq
                 )));
             }
+            check_replicable(&event.op)?;
             if self.known.contains(&id) || self.compacted_vv.covers(id) || fresh_ids.contains(&id) {
                 duplicates += 1;
                 continue;
@@ -1070,7 +1148,11 @@ impl Replica {
     /// Adopt and apply one event to the live sheet, recording a
     /// deterministic skip when its operator fails.
     fn apply_live(&mut self, event: &OpEvent) {
-        if event.op.apply(&mut self.sheet, event.id()).is_err() {
+        if self
+            .sheet
+            .apply_as(&event.op, Some(event.id().packed()))
+            .is_err()
+        {
             self.skipped.insert(event.key());
         }
         self.adopt(event.clone());
@@ -1091,7 +1173,11 @@ impl Replica {
         self.skipped.clear();
         let log = std::mem::take(&mut self.log);
         for event in &log {
-            if event.op.apply(&mut self.sheet, event.id()).is_err() {
+            if self
+                .sheet
+                .apply_as(&event.op, Some(event.id().packed()))
+                .is_err()
+            {
                 self.skipped.insert(event.key());
             }
         }
@@ -1235,8 +1321,12 @@ mod tests {
                 level: 1,
             },
             SheetOp::Formula {
-                name: "double".into(),
+                name: Some("double".into()),
                 expr: Expr::col("price").mul(Expr::lit(2)),
+            },
+            SheetOp::Formula {
+                name: None,
+                expr: Expr::col("price").mul(Expr::lit(3)),
             },
             SheetOp::RemoveComputed {
                 name: "double".into(),
@@ -1260,6 +1350,24 @@ mod tests {
             assert_eq!(back.op, op, "round trip for {}", op.kind());
             assert_eq!(back.key(), event.key());
         }
+    }
+
+    #[test]
+    fn formula_frames_carry_a_name_only_when_given() {
+        let expr = Expr::col("price").mul(Expr::lit(2));
+        let named = SheetOp::Formula {
+            name: Some("double".into()),
+            expr: expr.clone(),
+        };
+        let text = named.to_json().expect("encode").render();
+        // Named frames keep the layout older logs were written with.
+        assert!(
+            text.starts_with(r#"{"t":"formula","name":"double","expr":"#),
+            "{text}"
+        );
+        let unnamed = text.replace(r#""name":"double","#, "");
+        let back = SheetOp::from_json(&Json::parse(&unnamed).expect("parse")).expect("decode");
+        assert_eq!(back, SheetOp::Formula { name: None, expr });
     }
 
     #[test]
@@ -1313,6 +1421,31 @@ mod tests {
         assert_eq!(outcome.path, MergePath::Empty);
         assert_eq!(outcome.duplicates, 2);
         assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn unnamed_formulas_are_not_replicated() {
+        // Its generated name would come from a per-sheet counter that a
+        // history rewrite does not rewind: replica 2 would replay it as
+        // `F2` after merging replica 1's earlier-sorting event, while
+        // replica 1 fast-forwards it as `F1`.
+        let unnamed = SheetOp::Formula {
+            name: None,
+            expr: Expr::col("price").mul(Expr::lit(2)),
+        };
+        let mut a = Replica::new(2, base()).expect("a");
+        assert!(a.commit(unnamed.clone()).is_err());
+        assert!(a.log().is_empty());
+        let mut vv = VersionVector::new();
+        vv.record(EventId { replica: 1, seq: 1 });
+        let event = OpEvent {
+            replica: 1,
+            seq: 1,
+            vv,
+            op: unnamed,
+        };
+        assert!(a.merge(&[event]).is_err());
+        assert!(a.sheet().state().computed.is_empty());
     }
 
     #[test]

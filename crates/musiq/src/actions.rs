@@ -9,7 +9,7 @@
 //!   selection with the cell's value, result shown immediately.
 
 use crate::session::Session;
-use spreadsheet_algebra::{Direction, Result, SheetError};
+use spreadsheet_algebra::{Direction, Result, SheetError, SheetOp};
 use ssa_relation::{Expr, Tuple, Value};
 use std::collections::BTreeMap;
 
@@ -74,39 +74,42 @@ pub fn apply_action(
     toggles: &mut HeaderToggles,
     action: &UserAction,
 ) -> Result<()> {
-    match action {
-        UserAction::ClickHeader { column, level } => {
-            let dir = toggles.next(column);
-            let engine = session.engine()?;
-            let level = level.unwrap_or_else(|| engine.sheet().state().spec.level_count());
-            engine.order(column, dir, level)
-        }
-        UserAction::UncheckColumn { column } => session.engine()?.project_out(column),
-        UserAction::CheckColumn { column } => session.engine()?.reinstate(column),
+    let engine = session.engine()?;
+    let op = match action {
+        UserAction::ClickHeader { column, level } => SheetOp::Order {
+            attribute: column.clone(),
+            direction: toggles.next(column),
+            level: level.unwrap_or_else(|| engine.sheet().state().spec.level_count()),
+        },
+        UserAction::UncheckColumn { column } => SheetOp::ProjectOut {
+            column: column.clone(),
+        },
+        UserAction::CheckColumn { column } => SheetOp::Reinstate {
+            column: column.clone(),
+        },
         UserAction::FilterByCellValue { column, row } => {
-            let engine = session.engine()?;
-            let value: Value = {
-                let view = engine.view()?;
-                if *row >= view.len() {
-                    return Err(SheetError::Relation(
-                        ssa_relation::RelationError::TypeMismatch {
-                            context: format!("row {row} out of range"),
-                        },
-                    ));
-                }
-                *view.data.value_at(*row, column)?
-            };
-            engine
-                .select(Expr::col(column).eq(Expr::Lit(value)))
-                .map(|_| ())
+            let view = engine.view()?;
+            if *row >= view.len() {
+                return Err(SheetError::Relation(
+                    ssa_relation::RelationError::TypeMismatch {
+                        context: format!("row {row} out of range"),
+                    },
+                ));
+            }
+            let value = *view.data.value_at(*row, column)?;
+            SheetOp::Select {
+                predicate: Expr::col(column).eq(Expr::Lit(value)),
+            }
         }
-        UserAction::FeedRows { rows } => session.engine()?.append_rows(rows.clone()).map(|_| ()),
-        UserAction::DeleteRows { ids } => session.engine()?.delete_rows(ids).map(|_| ()),
-        UserAction::EditCell { row, column, value } => session
-            .engine()?
-            .update_cell(*row, column, *value)
-            .map(|_| ()),
-    }
+        UserAction::FeedRows { rows } => SheetOp::AppendRows { rows: rows.clone() },
+        UserAction::DeleteRows { ids } => SheetOp::DeleteRows { ids: ids.clone() },
+        UserAction::EditCell { row, column, value } => SheetOp::UpdateCell {
+            row: *row,
+            column: column.clone(),
+            value: *value,
+        },
+    };
+    engine.apply(op).map(drop)
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! the prototype would display; `submit` turns the user's choice into the
 //! corresponding algebra operation.
 
-use spreadsheet_algebra::{Engine, Result, SheetError, StoredSheet};
+use spreadsheet_algebra::{Engine, Result, SheetError, SheetOp, StoredSheet};
 use ssa_relation::{AggFunc, CmpOp, Expr, Value, ValueType};
 
 /// Fig. 1 — the aggregation dialog.
@@ -63,7 +63,13 @@ impl AggregationDialog {
                 column: self.column.clone(),
             });
         }
-        engine.aggregate(func, &self.column, level)
+        engine
+            .apply(SheetOp::Aggregate {
+                func,
+                column: self.column.clone(),
+                level,
+            })?
+            .column()
     }
 }
 
@@ -145,7 +151,8 @@ impl SelectionDialog {
     /// Add a new predicate ("specify the new predicate in addition to
     /// those previously specified"). Returns its id.
     pub fn submit_new(&self, engine: &mut Engine, op: CmpOp, with: CompareWith) -> Result<u64> {
-        engine.select(self.predicate(op, &with))
+        let predicate = self.predicate(op, &with);
+        engine.apply(SheetOp::Select { predicate })?.selection()
     }
 
     /// Replace a previously applied predicate (history is rewritten).
@@ -159,7 +166,13 @@ impl SelectionDialog {
         if !self.existing.iter().any(|(id, _)| *id == existing_id) {
             return Err(SheetError::UnknownSelection { id: existing_id });
         }
-        engine.replace_selection(existing_id, self.predicate(op, &with))
+        let predicate = self.predicate(op, &with);
+        engine
+            .apply(SheetOp::ReplaceSelection {
+                target: existing_id,
+                predicate,
+            })
+            .map(drop)
     }
 
     /// Delete a previously applied predicate "without specifying a new
@@ -168,7 +181,11 @@ impl SelectionDialog {
         if !self.existing.iter().any(|(id, _)| *id == existing_id) {
             return Err(SheetError::UnknownSelection { id: existing_id });
         }
-        engine.remove_selection(existing_id)
+        engine
+            .apply(SheetOp::RemoveSelection {
+                target: existing_id,
+            })
+            .map(drop)
     }
 }
 
@@ -247,8 +264,13 @@ mod tests {
     #[test]
     fn aggregation_dialog_matches_fig1() {
         let mut e = engine();
-        e.group_add(&["Model"], Direction::Asc).unwrap();
-        e.group_add(&["Year"], Direction::Asc).unwrap();
+        for attribute in ["Model", "Year"] {
+            e.apply(SheetOp::Group {
+                attributes: vec![attribute.into()],
+                direction: Direction::Asc,
+            })
+            .unwrap();
+        }
         let d = AggregationDialog::open(&e, "Price").unwrap();
         assert!(d.functions.contains(&AggFunc::Avg));
         // Fig. 1's choice: over all the cars, or per Model, or per
@@ -275,7 +297,12 @@ mod tests {
     #[test]
     fn selection_dialog_compares_price_with_avg_price_like_fig2() {
         let mut e = engine();
-        e.aggregate(AggFunc::Avg, "Price", 1).unwrap();
+        e.apply(SheetOp::Aggregate {
+            func: AggFunc::Avg,
+            column: "Price".into(),
+            level: 1,
+        })
+        .unwrap();
         let d = SelectionDialog::open(&e, "Price").unwrap();
         // the computed column is offered as a comparison target
         assert!(d.comparable_columns.contains(&"Avg_Price".to_string()));
@@ -289,7 +316,12 @@ mod tests {
     #[test]
     fn selection_dialog_lists_and_replaces_existing() {
         let mut e = engine();
-        let id = e.select(Expr::col("Year").eq(Expr::lit(2005))).unwrap();
+        let predicate = Expr::col("Year").eq(Expr::lit(2005));
+        let id = e
+            .apply(SheetOp::Select { predicate })
+            .unwrap()
+            .selection()
+            .unwrap();
         let d = SelectionDialog::open(&e, "Year").unwrap();
         assert_eq!(d.existing.len(), 1);
         assert_eq!(d.existing[0].0, id);

@@ -8,7 +8,7 @@ use crate::actions::{apply_action, HeaderToggles, UserAction};
 use crate::menu::{context_menu, ClickTarget};
 use crate::session::Session;
 use spreadsheet_algebra::render::{render_table, render_tree};
-use spreadsheet_algebra::{Direction, Result, SheetError};
+use spreadsheet_algebra::{Direction, Result, SheetError, SheetOp};
 use ssa_relation::agg::parse_agg_func;
 use ssa_relation::expr_parse::parse_expr;
 use ssa_relation::{Schema, Tuple, Value};
@@ -66,22 +66,28 @@ impl ScriptHost {
             }
             "cols" => Ok(self.session.engine()?.sheet().visible().join(", ")),
             "select" => {
-                let pred = parse_expr(rest)?;
-                let id = self.session.engine()?.select(pred)?;
+                let predicate = parse_expr(rest)?;
+                let id = self.apply(SheetOp::Select { predicate })?.selection()?;
                 self.after_change(&format!("selection #{id} applied"))
             }
             "group" | "regroup" => {
-                let (col, dir) = column_and_direction(rest)?;
-                let engine = self.session.engine()?;
-                if cmd.eq_ignore_ascii_case("group") {
-                    engine.group_add(&[&col], dir)?;
+                let (col, direction) = column_and_direction(rest)?;
+                let attributes = vec![col];
+                self.apply(if cmd.eq_ignore_ascii_case("group") {
+                    SheetOp::Group {
+                        attributes,
+                        direction,
+                    }
                 } else {
-                    engine.regroup(&[&col], dir)?;
-                }
+                    SheetOp::Regroup {
+                        attributes,
+                        direction,
+                    }
+                })?;
                 self.after_change("grouped")
             }
             "ungroup" => {
-                self.session.engine()?.ungroup()?;
+                self.apply(SheetOp::Ungroup)?;
                 self.after_change("grouping removed")
             }
             "order" => {
@@ -92,10 +98,13 @@ impl ScriptHost {
                     .inspect(|_| {
                         parts.pop();
                     });
-                let (col, dir) = column_and_direction(&parts.join(" "))?;
-                let engine = self.session.engine()?;
-                let level = level.unwrap_or_else(|| engine.sheet().state().spec.level_count());
-                engine.order(&col, dir, level)?;
+                let (attribute, direction) = column_and_direction(&parts.join(" "))?;
+                let level = level.unwrap_or(self.finest_level()?);
+                self.apply(SheetOp::Order {
+                    attribute,
+                    direction,
+                    level,
+                })?;
                 self.after_change("ordered")
             }
             "sortclick" => {
@@ -116,37 +125,40 @@ impl ScriptHost {
                     return Err(bad_args("agg <func> <column> [level]"));
                 }
                 let func = parse_agg_func(parts[0])?;
-                let engine = self.session.engine()?;
-                let level = parts
-                    .get(2)
-                    .and_then(|p| p.parse().ok())
-                    .unwrap_or_else(|| engine.sheet().state().spec.level_count());
-                let name = engine.aggregate(func, parts[1], level)?;
+                let level = match parts.get(2).and_then(|p| p.parse().ok()) {
+                    Some(level) => level,
+                    None => self.finest_level()?,
+                };
+                let name = self
+                    .apply(SheetOp::Aggregate {
+                        func,
+                        column: parts[1].to_string(),
+                        level,
+                    })?
+                    .column()?;
                 self.after_change(&format!("created column {name}"))
             }
             "formula" => {
                 let (name, expr_text) = match rest.split_once('=') {
                     Some((n, e)) if !n.trim().contains(' ') && !n.trim().is_empty() => {
-                        (Some(n.trim()), e.trim())
+                        (Some(n.trim().to_string()), e.trim())
                     }
                     _ => (None, rest),
                 };
                 let expr = parse_expr(expr_text)?;
-                let name = self.session.engine()?.formula(name, expr)?;
+                let name = self.apply(SheetOp::Formula { name, expr })?.column()?;
                 self.after_change(&format!("created column {name}"))
             }
             "project" => {
-                self.session.engine()?.project_out(rest)?;
+                self.apply(SheetOp::ProjectOut {
+                    column: rest.to_string(),
+                })?;
                 self.after_change(&format!("projected out {rest}"))
             }
             "dropcol" => {
                 // Cascaded removal of a computed column and everything
                 // that depends on it (Sec. V-B).
-                let plan = self
-                    .session
-                    .engine()?
-                    .sheet_mut()
-                    .remove_with_cascade(rest)?;
+                let plan = self.session.engine()?.remove_with_cascade(rest)?;
                 self.after_change(&format!("{plan}"))
             }
             "plan" => {
@@ -191,11 +203,13 @@ impl ScriptHost {
                 self.after_change(&format!("updated {column} of base row {row}"))
             }
             "reinstate" => {
-                self.session.engine()?.reinstate(rest)?;
+                self.apply(SheetOp::Reinstate {
+                    column: rest.to_string(),
+                })?;
                 self.after_change(&format!("reinstated {rest}"))
             }
             "dedup" => {
-                self.session.engine()?.dedup()?;
+                self.apply(SheetOp::Dedup)?;
                 self.after_change("duplicates removed")
             }
             "rename" => {
@@ -203,7 +217,10 @@ impl ScriptHost {
                 if parts.len() != 2 {
                     return Err(bad_args("rename <old> <new>"));
                 }
-                self.session.engine()?.rename(parts[0], parts[1])?;
+                self.apply(SheetOp::Rename {
+                    from: parts[0].to_string(),
+                    to: parts[1].to_string(),
+                })?;
                 self.after_change("renamed")
             }
             "save" => {
@@ -263,14 +280,14 @@ impl ScriptHost {
                 let (id, expr_text) = rest
                     .split_once(char::is_whitespace)
                     .ok_or_else(|| bad_args("modify <selection-id> <new predicate>"))?;
-                let id: u64 = id.parse().map_err(|_| bad_args("numeric selection id"))?;
-                let pred = parse_expr(expr_text)?;
-                self.session.engine()?.replace_selection(id, pred)?;
+                let target = id.parse().map_err(|_| bad_args("numeric selection id"))?;
+                let predicate = parse_expr(expr_text)?;
+                self.apply(SheetOp::ReplaceSelection { target, predicate })?;
                 self.after_change("selection modified")
             }
             "unselect" => {
-                let id: u64 = rest.parse().map_err(|_| bad_args("numeric selection id"))?;
-                self.session.engine()?.remove_selection(id)?;
+                let target = rest.parse().map_err(|_| bad_args("numeric selection id"))?;
+                self.apply(SheetOp::RemoveSelection { target })?;
                 self.after_change("selection removed")
             }
             "filters" => {
@@ -308,6 +325,21 @@ impl ScriptHost {
     /// Run a multi-line script, stopping at the first error.
     pub fn run_script(&mut self, script: &str) -> Result<Vec<String>> {
         script.lines().map(|l| self.execute(l)).collect()
+    }
+
+    fn apply(&mut self, op: SheetOp) -> Result<spreadsheet_algebra::Applied> {
+        self.session.engine()?.apply(op)
+    }
+
+    /// The finest grouping level: where `order` and `agg` act by default.
+    fn finest_level(&self) -> Result<usize> {
+        Ok(self
+            .session
+            .engine_ref()?
+            .sheet()
+            .state()
+            .spec
+            .level_count())
     }
 
     fn after_change(&mut self, message: &str) -> Result<String> {
@@ -653,6 +685,28 @@ mod tests {
         h.run_script("load cars\nagg avg Price 1\nselect Price < Avg_Price")
             .unwrap();
         assert!(h.execute("project Avg_Price").is_err());
+    }
+
+    #[test]
+    fn dropcol_is_one_undoable_history_entry() {
+        let mut h = host();
+        h.run_script("load cars\nformula Double = Price * 2\ndropcol Double")
+            .unwrap();
+        assert!(!h.execute("cols").unwrap().contains("Double"));
+        assert_eq!(
+            h.execute("history").unwrap(),
+            "1. Formula Double = (Price * 2)\n2. Cascade: remove column Double"
+        );
+        assert_eq!(
+            h.execute("undo").unwrap(),
+            "undid: Cascade: remove column Double"
+        );
+        assert!(h.execute("cols").unwrap().ends_with(", Double"));
+        assert_eq!(
+            h.execute("redo").unwrap(),
+            "redid: Cascade: remove column Double"
+        );
+        assert!(!h.execute("cols").unwrap().contains("Double"));
     }
 
     #[test]

@@ -154,7 +154,7 @@ impl Session {
 mod tests {
     use super::*;
     use spreadsheet_algebra::fixtures::{dealers, used_cars};
-    use spreadsheet_algebra::Direction;
+    use spreadsheet_algebra::{Direction, SheetOp};
     use ssa_relation::Expr;
 
     fn session() -> Session {
@@ -180,7 +180,9 @@ mod tests {
         s.load("cars").unwrap();
         s.engine()
             .unwrap()
-            .select(Expr::col("Model").eq(Expr::lit("Jetta")))
+            .apply(SheetOp::Select {
+                predicate: Expr::col("Model").eq(Expr::lit("Jetta")),
+            })
             .unwrap();
         s.save("jettas").unwrap();
         s.close();
@@ -197,7 +199,9 @@ mod tests {
         s.load("cars").unwrap();
         s.engine()
             .unwrap()
-            .select(Expr::col("Model").eq(Expr::lit("Jetta")))
+            .apply(SheetOp::Select {
+                predicate: Expr::col("Model").eq(Expr::lit("Jetta")),
+            })
             .unwrap();
         s.save("jettas").unwrap();
         s.load("cars").unwrap();
@@ -249,7 +253,11 @@ mod tests {
         let mut s = session();
         s.load("cars").unwrap();
         let e = s.engine().unwrap();
-        e.group_add(&["Model"], Direction::Asc).unwrap();
+        e.apply(SheetOp::Group {
+            attributes: vec!["Model".into()],
+            direction: Direction::Asc,
+        })
+        .unwrap();
         e.undo().unwrap();
         assert_eq!(e.sheet().state().spec.level_count(), 1);
     }

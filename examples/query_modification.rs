@@ -19,17 +19,28 @@ fn main() {
     let mut engine = Engine::over(used_cars());
 
     // Build up Sam's query one step at a time.
-    let year = engine
-        .select(Expr::col("Year").eq(Expr::lit(2005)))
-        .expect("Year exists");
+    let select = |engine: &mut Engine, predicate: Expr| {
+        engine
+            .apply(SheetOp::Select { predicate })
+            .and_then(Applied::selection)
+            .expect("column exists")
+    };
+    let year = select(&mut engine, Expr::col("Year").eq(Expr::lit(2005)));
+    select(&mut engine, Expr::col("Model").eq(Expr::lit("Jetta")));
+    select(&mut engine, Expr::col("Mileage").lt(Expr::lit(80_000)));
     engine
-        .select(Expr::col("Model").eq(Expr::lit("Jetta")))
-        .expect("Model exists");
+        .apply(SheetOp::Group {
+            attributes: vec!["Condition".into()],
+            direction: Direction::Asc,
+        })
+        .expect("group");
     engine
-        .select(Expr::col("Mileage").lt(Expr::lit(80_000)))
-        .expect("Mileage exists");
-    engine.group(&["Condition"], Direction::Asc).expect("group");
-    engine.order("Price", Direction::Asc, 2).expect("order");
+        .apply(SheetOp::Order {
+            attribute: "Price".into(),
+            direction: Direction::Asc,
+            level: 2,
+        })
+        .expect("order");
     show(&mut engine, "Table IV: Year = 2005, Jetta, mileage < 80k");
 
     // The query state, as the History menu would describe it:
@@ -41,7 +52,10 @@ fn main() {
     // Sam's budget grows: modify the retained Year predicate. Everything
     // else — model filter, grouping, ordering — stays in force.
     engine
-        .replace_selection(year, Expr::col("Year").eq(Expr::lit(2006)))
+        .apply(SheetOp::ReplaceSelection {
+            target: year,
+            predicate: Expr::col("Year").eq(Expr::lit(2006)),
+        })
         .expect("the predicate is still modifiable");
     show(&mut engine, "Table V: the same query with Year = 2006");
 
@@ -60,19 +74,19 @@ fn main() {
     // Cascaded removal: an aggregate with dependents cannot be dropped
     // one-shot; the plan lists what must go first.
     let avg = engine
-        .aggregate(AggFunc::Avg, "Price", 2)
+        .apply(SheetOp::Aggregate {
+            func: AggFunc::Avg,
+            column: "Price".into(),
+            level: 2,
+        })
+        .and_then(Applied::column)
         .expect("aggregate");
-    engine
-        .select(Expr::col("Price").le(Expr::col(&avg)))
-        .expect("select on aggregate");
+    select(&mut engine, Expr::col("Price").le(Expr::col(&avg)));
     let err = engine
-        .remove_computed(&avg)
+        .apply(SheetOp::RemoveComputed { name: avg.clone() })
         .expect_err("dependents block removal");
     println!("one-shot removal refused: {err}");
-    let plan = engine
-        .sheet_mut()
-        .remove_with_cascade(&avg)
-        .expect("cascade succeeds");
+    let plan = engine.remove_with_cascade(&avg).expect("cascade succeeds");
     println!("cascade executed: {plan}\n");
     show(&mut engine, "after cascade (aggregate and dependents gone)");
 

@@ -20,6 +20,11 @@ cargo build --release
 echo "==> cargo build -p ssa-server --release (deny warnings)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build -p ssa-server --release
 
+# `perfbench/` is its own workspace, so the build above skips it; build
+# it here so a change to the library API it calls fails this gate.
+echo "==> cargo build --manifest-path perfbench/Cargo.toml"
+cargo build --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 

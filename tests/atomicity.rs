@@ -191,14 +191,14 @@ mod injected {
     /// them — so the armed sites also meet the rebase patch path.
     #[derive(Debug)]
     enum Step {
-        Op(AlgebraOp),
+        Op(SheetOp),
         Extend(Vec<Tuple>),
     }
 
     impl Step {
         fn apply(&self, sheet: &mut Spreadsheet) -> spreadsheet_algebra::Result<()> {
             match self {
-                Step::Op(op) => op.apply(sheet),
+                Step::Op(op) => sheet.apply(op).map(drop),
                 Step::Extend(rows) => {
                     let mut base = (*sheet.base_arc()).clone();
                     base.append_rows(rows.clone())?;

@@ -121,7 +121,7 @@ fn base_edits_equal_oracle_on_random_interleavings() {
             if rng.gen_bool(0.5) {
                 arb_base_edit(&mut rng, &mut sheet);
             } else {
-                let _ = arb_op(&mut rng).apply(&mut sheet);
+                let _ = sheet.apply(&arb_op(&mut rng));
             }
             assert_agrees(&mut sheet, &format!("case {case}, step {step}"));
         }
@@ -149,8 +149,8 @@ fn base_edit_ablation_produces_identical_views() {
                 arb_base_edit(&mut rng_a, &mut inc);
                 arb_base_edit(&mut rng_b, &mut full);
             } else {
-                let _ = arb_op(&mut rng_a).apply(&mut inc);
-                let _ = arb_op(&mut rng_b).apply(&mut full);
+                let _ = inc.apply(&arb_op(&mut rng_a));
+                let _ = full.apply(&arb_op(&mut rng_b));
             }
             assert_eq!(
                 inc.view().unwrap(),

@@ -39,16 +39,17 @@ pub fn arb_predicate(rng: &mut Rng) -> Expr {
 }
 
 /// One random unary operator instance over the used-car columns — the same
-/// distribution the proptest-based suite originally drew from.
-pub fn arb_op(rng: &mut Rng) -> AlgebraOp {
+/// distribution the proptest-based suite originally drew from. Grouping
+/// adds a level under the current grouping (`SheetOp::Group` is relative).
+pub fn arb_op(rng: &mut Rng) -> SheetOp {
     match rng.gen_range(0..7usize) {
-        0 => AlgebraOp::Select {
+        0 => SheetOp::Select {
             predicate: arb_predicate(rng),
         },
-        1 => AlgebraOp::Project {
+        1 => SheetOp::ProjectOut {
             column: arb_column(rng).to_string(),
         },
-        2 => AlgebraOp::Aggregate {
+        2 => SheetOp::Aggregate {
             func: *rng.pick(&[
                 AggFunc::Avg,
                 AggFunc::Sum,
@@ -59,18 +60,18 @@ pub fn arb_op(rng: &mut Rng) -> AlgebraOp {
             column: arb_numeric_column(rng).to_string(),
             level: rng.gen_range(1..=3usize),
         },
-        3 => AlgebraOp::Formula {
+        3 => SheetOp::Formula {
             name: Some(rng.pick(&["Fa", "Fb", "Fc"]).to_string()),
             expr: Expr::col(arb_numeric_column(rng)).add(Expr::lit(1)),
         },
-        4 => AlgebraOp::Dedup,
-        5 => AlgebraOp::Group {
-            basis: vec![arb_column(rng).to_string()],
-            order: arb_direction(rng),
+        4 => SheetOp::Dedup,
+        5 => SheetOp::Group {
+            attributes: vec![arb_column(rng).to_string()],
+            direction: arb_direction(rng),
         },
-        _ => AlgebraOp::Order {
+        _ => SheetOp::Order {
             attribute: arb_column(rng).to_string(),
-            order: arb_direction(rng),
+            direction: arb_direction(rng),
             level: rng.gen_range(1..=3usize),
         },
     }
@@ -82,7 +83,7 @@ pub fn arb_op(rng: &mut Rng) -> AlgebraOp {
 pub fn arb_sheet(rng: &mut Rng) -> Spreadsheet {
     let mut s = Spreadsheet::over(used_cars());
     for _ in 0..rng.gen_range(0..3usize) {
-        let _ = arb_op(rng).apply(&mut s);
+        let _ = s.apply(&arb_op(rng));
     }
     s
 }

@@ -12,15 +12,15 @@ mod common;
 use common::{arb_op, arb_sheet};
 use sheetmusiq_repro::prelude::*;
 use spreadsheet_algebra::fixtures::used_cars;
-use spreadsheet_algebra::{may_commute, AlgebraOp, SheetError};
+use spreadsheet_algebra::{may_commute, SheetError};
 use ssa_relation::rng::Rng;
 
 type Outcome = Result<spreadsheet_algebra::Derived, SheetError>;
 
-fn run(sheet: &Spreadsheet, first: &AlgebraOp, second: &AlgebraOp) -> Outcome {
+fn run(sheet: &Spreadsheet, first: &SheetOp, second: &SheetOp) -> Outcome {
     let mut s = sheet.clone();
-    first.apply(&mut s)?;
-    second.apply(&mut s)?;
+    s.apply(first)?;
+    s.apply(second)?;
     s.evaluate_now()
 }
 
@@ -37,13 +37,13 @@ fn theorem2_commuting_pairs_agree() {
             match (ab, ba) {
                 (Ok(x), Ok(y)) => assert!(
                     x.equivalent(&y),
-                    "case {case}: approved pair produced different sheets: {a} / {b}"
+                    "case {case}: approved pair produced different sheets: {a:?} / {b:?}"
                 ),
                 // An approved pair must at least fail identically in both
                 // orders (e.g. an aggregate level that does not exist).
                 (Err(_), Err(_)) => {}
                 (x, y) => panic!(
-                    "case {case}: approved pair {a} / {b} succeeded in one order only: \
+                    "case {case}: approved pair {a:?} / {b:?} succeeded in one order only: \
                      {:?} vs {:?}",
                     x.is_ok(),
                     y.is_ok()
@@ -74,7 +74,7 @@ fn operators_never_panic() {
         let op = arb_op(&mut rng);
         let mut s = sheet.clone();
         // Result may be Ok or a typed error, but never a panic.
-        let _ = op.apply(&mut s);
+        let _ = s.apply(&op);
         let _ = s.evaluate_now();
     }
 }
@@ -84,13 +84,30 @@ fn known_noncommuting_pair_is_rejected() {
     // Regression guard: aggregation then dependent selection must never be
     // approved (precedence).
     let sheet = Spreadsheet::over(used_cars());
-    let agg = AlgebraOp::Aggregate {
+    let agg = SheetOp::Aggregate {
         func: AggFunc::Avg,
         column: "Price".into(),
         level: 1,
     };
-    let dep = AlgebraOp::Select {
+    let dep = SheetOp::Select {
         predicate: Expr::col("Price").lt(Expr::col("Avg_Price")),
     };
     assert!(!may_commute(&agg, &dep, &sheet));
+}
+
+#[test]
+fn relative_grouping_conflicts_with_hiding_its_current_basis() {
+    // `Group` adds a level under the current grouping, so it requires the
+    // whole resulting basis: hiding `Model` must not commute with it.
+    let mut sheet = Spreadsheet::over(used_cars());
+    sheet.group(&["Model"], Direction::Asc).unwrap();
+    let group_year = SheetOp::Group {
+        attributes: vec!["Year".into()],
+        direction: Direction::Asc,
+    };
+    let hide = |column: &str| SheetOp::ProjectOut {
+        column: column.into(),
+    };
+    assert!(!may_commute(&group_year, &hide("Model"), &sheet));
+    assert!(may_commute(&group_year, &hide("Mileage"), &sheet));
 }

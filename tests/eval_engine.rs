@@ -48,7 +48,7 @@ fn engines_agree_on_random_operator_sequences() {
         for _ in 0..rng.gen_range(0..5usize) {
             // Invalid operator draws (bad level, non-superset basis…) are
             // skipped, mirroring a user retrying in the UI.
-            let _ = arb_op(&mut rng).apply(&mut sheet);
+            let _ = sheet.apply(&arb_op(&mut rng));
         }
         assert_engines_agree(sheet.base(), sheet.state(), case);
     }

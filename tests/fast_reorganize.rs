@@ -5,35 +5,34 @@
 
 use sheetmusiq_repro::prelude::*;
 use spreadsheet_algebra::fixtures::used_cars;
-use spreadsheet_algebra::AlgebraOp;
 use ssa_relation::rng::Rng;
 
-fn arb_op(rng: &mut Rng) -> AlgebraOp {
+fn arb_op(rng: &mut Rng) -> SheetOp {
     match rng.gen_range(0..7usize) {
         // content-changing
-        0 => AlgebraOp::Select {
+        0 => SheetOp::Select {
             predicate: Expr::col("Price").lt(Expr::lit(rng.gen_range(13_000..19_000i64))),
         },
-        1 => AlgebraOp::Aggregate {
+        1 => SheetOp::Aggregate {
             func: *rng.pick(&[AggFunc::Avg, AggFunc::Count, AggFunc::Max]),
             column: "Price".into(),
             level: rng.gen_range(1..=3usize),
         },
-        2 => AlgebraOp::Dedup,
+        2 => SheetOp::Dedup,
         // organization-only (the fast-path triggers)
-        3 => AlgebraOp::Group {
-            basis: vec![rng.pick(&["Model", "Condition", "Year"]).to_string()],
-            order: Direction::Desc,
+        3 => SheetOp::Group {
+            attributes: vec![rng.pick(&["Model", "Condition", "Year"]).to_string()],
+            direction: Direction::Desc,
         },
-        4 => AlgebraOp::Order {
+        4 => SheetOp::Order {
             attribute: rng.pick(&["Price", "Mileage", "ID", "Year"]).to_string(),
-            order: Direction::Asc,
+            direction: Direction::Asc,
             level: rng.gen_range(1..=3usize),
         },
-        5 => AlgebraOp::Project {
+        5 => SheetOp::ProjectOut {
             column: rng.pick(&["Mileage", "Condition"]).to_string(),
         },
-        _ => AlgebraOp::Reinstate {
+        _ => SheetOp::Reinstate {
             column: rng.pick(&["Mileage", "Condition"]).to_string(),
         },
     }
@@ -46,7 +45,7 @@ fn arb_op(rng: &mut Rng) -> AlgebraOp {
 fn view_always_equals_full_evaluation() {
     for case in 0..128u64 {
         let mut rng = Rng::seed_from_u64(0xFA57 ^ case);
-        let ops: Vec<AlgebraOp> = (0..rng.gen_range(0..10usize))
+        let ops: Vec<SheetOp> = (0..rng.gen_range(0..10usize))
             .map(|_| arb_op(&mut rng))
             .collect();
         let fast = rng.gen_bool(0.5);
@@ -55,7 +54,7 @@ fn view_always_equals_full_evaluation() {
         // prime the cache so later ops hit the reorganize/reuse branches
         let _ = sheet.view();
         for op in &ops {
-            if op.apply(&mut sheet).is_ok() {
+            if sheet.apply(op).is_ok() {
                 let fresh = sheet.evaluate_now().expect("state is valid");
                 let viewed = sheet.view().expect("view succeeds").clone();
                 assert_eq!(viewed, fresh, "case {case}");
@@ -69,12 +68,12 @@ fn view_always_equals_full_evaluation() {
 fn repeated_views_are_stable() {
     for case in 0..128u64 {
         let mut rng = Rng::seed_from_u64(0x57AB ^ case);
-        let ops: Vec<AlgebraOp> = (0..rng.gen_range(0..8usize))
+        let ops: Vec<SheetOp> = (0..rng.gen_range(0..8usize))
             .map(|_| arb_op(&mut rng))
             .collect();
         let mut sheet = Spreadsheet::over(used_cars());
         for op in &ops {
-            let _ = op.apply(&mut sheet);
+            let _ = sheet.apply(op);
             let a = sheet.view().expect("view").clone();
             let b = sheet.view().expect("view").clone();
             assert_eq!(a, b, "case {case}");

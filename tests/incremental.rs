@@ -143,7 +143,7 @@ fn arb_edit(rng: &mut Rng, sheet: &mut Spreadsheet) {
         }
         // Reorganize: grouping/ordering (and whatever else arb_op draws).
         _ => {
-            let _ = arb_op(rng).apply(sheet);
+            let _ = sheet.apply(&arb_op(rng));
         }
     }
 }
@@ -588,7 +588,9 @@ fn arb_history_edit(rng: &mut Rng, e: &mut Engine) {
                 .map(|c| c.name.clone())
                 .collect();
             if !computed.is_empty() {
-                let _ = e.remove_computed(&computed[rng.gen_range(0..computed.len())]);
+                let _ = e.apply(SheetOp::RemoveComputed {
+                    name: computed[rng.gen_range(0..computed.len())].clone(),
+                });
             }
         }
         9 => {
@@ -611,7 +613,7 @@ fn arb_history_edit(rng: &mut Rng, e: &mut Engine) {
                 ssa_relation::Value::Float(rng.gen_range(1..1000i64) as f64 * 1e-3),
                 ssa_relation::Value::Int(rng.gen_range(0..100i64)),
             ]);
-            let _ = e.append_rows(vec![row]);
+            let _ = e.apply(SheetOp::AppendRows { rows: vec![row] });
         }
     }
 }
@@ -635,7 +637,7 @@ fn query_modification_with_undo_redo_equals_oracle() {
         let mut rng = Rng::seed_from_u64(SEED ^ 0x51DE ^ (case << 12));
         let mut e = Engine::over(float_base(&mut rng));
         e.sheet_mut().set_audit(true);
-        let _ = e.group(&["Grp"], Direction::Asc);
+        let _ = e.group_add(&["Grp"], Direction::Asc);
         e.view().expect("base sheet evaluates");
         for step in 0..rng.gen_range(6..20usize) {
             arb_history_edit(&mut rng, &mut e);

@@ -13,7 +13,6 @@
 
 use sheetmusiq_repro::prelude::*;
 use spreadsheet_algebra::fixtures::used_cars;
-use spreadsheet_algebra::AlgebraOp;
 use ssa_relation::rng::Rng;
 
 fn arb_predicate(rng: &mut Rng) -> Expr {
@@ -29,47 +28,41 @@ fn arb_predicate(rng: &mut Rng) -> Expr {
 /// Aggregates use base numeric columns only so that their applicability
 /// never depends on the data (only on the grouping depth, which selections
 /// cannot change) — a failed step then fails identically on both paths.
-fn arb_step(rng: &mut Rng) -> AlgebraOp {
+fn arb_step(rng: &mut Rng) -> SheetOp {
     match rng.gen_range(0..9usize) {
-        0..=3 => AlgebraOp::Select {
+        0..=3 => SheetOp::Select {
             predicate: arb_predicate(rng),
         },
-        4 => AlgebraOp::Group {
-            basis: vec![rng.pick(&["Model", "Condition", "Year"]).to_string()],
-            order: Direction::Asc,
+        4 => SheetOp::Group {
+            attributes: vec![rng.pick(&["Model", "Condition", "Year"]).to_string()],
+            direction: Direction::Asc,
         },
-        5 => AlgebraOp::Aggregate {
+        5 => SheetOp::Aggregate {
             func: *rng.pick(&[AggFunc::Avg, AggFunc::Count, AggFunc::Max]),
             column: rng.pick(&["Price", "Mileage"]).to_string(),
             level: rng.gen_range(1..=2usize),
         },
-        6 => AlgebraOp::Order {
+        6 => SheetOp::Order {
             attribute: rng.pick(&["Price", "Mileage", "ID"]).to_string(),
-            order: Direction::Desc,
+            direction: Direction::Desc,
             level: 1,
         },
-        7 => AlgebraOp::Project {
+        7 => SheetOp::ProjectOut {
             column: rng.pick(&["Mileage", "Condition"]).to_string(),
         },
-        _ => AlgebraOp::Dedup,
+        _ => SheetOp::Dedup,
     }
 }
 
-fn arb_steps(rng: &mut Rng, lo: usize, hi: usize) -> Vec<AlgebraOp> {
+fn arb_steps(rng: &mut Rng, lo: usize, hi: usize) -> Vec<SheetOp> {
     (0..rng.gen_range(lo..hi)).map(|_| arb_step(rng)).collect()
 }
 
 /// Apply a history; selections return their ids in order.
-fn apply_history(sheet: &mut Spreadsheet, steps: &[AlgebraOp]) -> Vec<Option<u64>> {
+fn apply_history(sheet: &mut Spreadsheet, steps: &[SheetOp]) -> Vec<Option<u64>> {
     steps
         .iter()
-        .map(|op| match op {
-            AlgebraOp::Select { predicate } => sheet.select(predicate.clone()).ok(),
-            other => {
-                let _ = other.apply(sheet);
-                None
-            }
-        })
+        .map(|op| sheet.apply(op).ok()?.selection().ok())
         .collect()
 }
 
@@ -97,7 +90,7 @@ fn theorem3_replace_equals_replay() {
         // Path B: replay with the edit at the original position.
         let mut b = Spreadsheet::over(used_cars());
         let mut edited = steps.clone();
-        edited[step_idx] = AlgebraOp::Select {
+        edited[step_idx] = SheetOp::Select {
             predicate: new_pred,
         };
         apply_history(&mut b, &edited);
@@ -173,27 +166,8 @@ fn modification_blocked_behind_binary_operator() {
 
 /// Apply one history step through the recording engine (so it can be
 /// undone); `Some(id)` for a selection that took.
-fn apply_recorded(e: &mut Engine, op: &AlgebraOp) -> Option<u64> {
-    match op {
-        AlgebraOp::Select { predicate } => e.select(predicate.clone()).ok(),
-        AlgebraOp::Project { column } => e.project_out(column).ok().and(None),
-        AlgebraOp::Aggregate {
-            func,
-            column,
-            level,
-        } => e.aggregate(*func, column, *level).ok().and(None),
-        AlgebraOp::Dedup => e.dedup().ok().and(None),
-        AlgebraOp::Group { basis, order } => {
-            let refs: Vec<&str> = basis.iter().map(|s| s.as_str()).collect();
-            e.group(&refs, *order).ok().and(None)
-        }
-        AlgebraOp::Order {
-            attribute,
-            order,
-            level,
-        } => e.order(attribute, *order, *level).ok().and(None),
-        other => other.apply(e.sheet_mut()).ok().and(None),
-    }
+fn apply_recorded(e: &mut Engine, op: &SheetOp) -> Option<u64> {
+    e.apply(op.clone()).ok()?.selection().ok()
 }
 
 /// The view of a warm, incrementally patched sheet must equal the naive
@@ -242,23 +216,32 @@ fn theorem3_on_a_warm_cache_equals_replay() {
             continue;
         }
         let (step_idx, sel_id) = selections[rng.gen_range(0..selections.len())];
-        let AlgebraOp::Select { predicate: old } = &steps[step_idx] else {
+        let SheetOp::Select { predicate: old } = &steps[step_idx] else {
             unreachable!("selection ids come from select steps");
         };
         let mut edited = steps.clone();
         match rng.gen_range(0..3usize) {
             0 => {
                 let looser = old.clone().or(arb_predicate(&mut rng));
-                a.replace_selection(sel_id, looser.clone()).unwrap();
-                edited[step_idx] = AlgebraOp::Select { predicate: looser };
+                a.apply(SheetOp::ReplaceSelection {
+                    target: sel_id,
+                    predicate: looser.clone(),
+                })
+                .unwrap();
+                edited[step_idx] = SheetOp::Select { predicate: looser };
             }
             1 => {
                 let other = arb_predicate(&mut rng);
-                a.replace_selection(sel_id, other.clone()).unwrap();
-                edited[step_idx] = AlgebraOp::Select { predicate: other };
+                a.apply(SheetOp::ReplaceSelection {
+                    target: sel_id,
+                    predicate: other.clone(),
+                })
+                .unwrap();
+                edited[step_idx] = SheetOp::Select { predicate: other };
             }
             _ => {
-                a.remove_selection(sel_id).unwrap();
+                a.apply(SheetOp::RemoveSelection { target: sel_id })
+                    .unwrap();
                 edited.remove(step_idx);
             }
         }
