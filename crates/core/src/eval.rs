@@ -656,11 +656,10 @@ fn materialize_buffer(
                 chunk
                     .iter()
                     .map(|rows| {
-                        let inputs: Vec<&Value> = rows
-                            .iter()
-                            .map(|&row| slot_value(base_rows, bufs, width, row, col_slot))
-                            .collect();
-                        func.apply_refs(&inputs)
+                        func.apply(
+                            rows.iter()
+                                .map(|&row| slot_value(base_rows, bufs, width, row, col_slot)),
+                        )
                     })
                     .collect::<ssa_relation::Result<Vec<Value>>>()
             })?;
@@ -920,9 +919,7 @@ fn materialize(data: &mut Relation, col: &ComputedColumn, state: &QueryState) ->
             let mut per_row: Vec<Value> = vec![Value::Null; data.len()];
             let mut ty = ValueType::Null;
             for members in groups.values() {
-                let inputs: Vec<Value> =
-                    members.iter().map(|&ri| data.rows()[ri][col_idx]).collect();
-                let v = func.apply(&inputs)?;
+                let v = func.apply(members.iter().map(|&ri| &data.rows()[ri][col_idx]))?;
                 ty = ty.unify(v.value_type());
                 for &ri in members {
                     per_row[ri] = v;

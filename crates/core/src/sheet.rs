@@ -20,7 +20,7 @@ use crate::spec::{Direction, GroupLevel, OrderKey, Spec};
 use crate::state::{volatile_columns, QueryState};
 use crate::tree::build_tree;
 use ssa_relation::schema::{Column, Schema};
-use ssa_relation::{ops, AggFunc, Expr, Relation, RelationError, Rows, Tuple, Value, ValueType};
+use ssa_relation::{ops, AggFunc, Expr, Fold, Relation, Rows, Tuple, Value, ValueType};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -95,140 +95,6 @@ struct GroupCache {
     groups: u32,
 }
 
-/// A per-group running fold for one aggregate — the streaming-append
-/// counterpart of [`AggFunc::apply_refs`]. Values are pushed in ascending
-/// canonical order, so the float folds (SUM/AVG) reproduce the evaluator's
-/// left-to-right accumulation bit for bit; that is exactly why the append
-/// paths only consult an accumulator when the new row lands at the
-/// canonical tail, and why every retraction (delete, update) discards
-/// them: a fold cannot un-push exactly.
-///
-/// `CountDistinct` and `StdDev` have no accumulator (`new` returns
-/// `None`) — their groups recompute outright.
-#[derive(Debug, Clone)]
-enum Accum {
-    Count(i64),
-    CountNonNull(i64),
-    Sum {
-        int: i64,
-        float: f64,
-        all_int: bool,
-        /// `apply_refs` reports integer overflow only when *every* input
-        /// is an integer; a later float input switches the whole group to
-        /// the float fold. Remember the overflow instead of failing the
-        /// push, and fail at read time iff the group is still all-int.
-        overflow: bool,
-        non_null: i64,
-    },
-    Avg {
-        sum: f64,
-        count: i64,
-    },
-    Min(Value),
-    Max(Value),
-}
-
-impl Accum {
-    fn new(func: AggFunc) -> Option<Accum> {
-        Some(match func {
-            AggFunc::Count => Accum::Count(0),
-            AggFunc::CountNonNull => Accum::CountNonNull(0),
-            AggFunc::Sum => Accum::Sum {
-                int: 0,
-                float: 0.0,
-                all_int: true,
-                overflow: false,
-                non_null: 0,
-            },
-            AggFunc::Avg => Accum::Avg { sum: 0.0, count: 0 },
-            AggFunc::Min => Accum::Min(Value::Null),
-            AggFunc::Max => Accum::Max(Value::Null),
-            AggFunc::CountDistinct | AggFunc::StdDev => return None,
-        })
-    }
-
-    fn non_numeric(func: &str, v: &Value) -> SheetError {
-        SheetError::Relation(RelationError::BadAggregate {
-            context: format!("{func} on non-numeric value `{v}`"),
-        })
-    }
-
-    fn push(&mut self, v: &Value) -> Result<()> {
-        match self {
-            Accum::Count(n) => *n += 1,
-            Accum::CountNonNull(n) => {
-                if !v.is_null() {
-                    *n += 1;
-                }
-            }
-            Accum::Sum {
-                int,
-                float,
-                all_int,
-                overflow,
-                non_null,
-            } => {
-                if !v.is_null() {
-                    let f = v.as_f64().ok_or_else(|| Accum::non_numeric("SUM", v))?;
-                    *float += f;
-                    *non_null += 1;
-                    if let Value::Int(i) = v {
-                        if *all_int {
-                            match int.checked_add(*i) {
-                                Some(s) => *int = s,
-                                None => *overflow = true,
-                            }
-                        }
-                    } else {
-                        *all_int = false;
-                    }
-                }
-            }
-            Accum::Avg { sum, count } => {
-                if !v.is_null() {
-                    *sum += v.as_f64().ok_or_else(|| Accum::non_numeric("AVG", v))?;
-                    *count += 1;
-                }
-            }
-            Accum::Min(m) => {
-                if !v.is_null() && (m.is_null() || v < m) {
-                    *m = *v;
-                }
-            }
-            Accum::Max(m) => {
-                if !v.is_null() && (m.is_null() || v > m) {
-                    *m = *v;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn value(&self) -> Result<Value> {
-        Ok(match self {
-            Accum::Count(n) | Accum::CountNonNull(n) => Value::Int(*n),
-            Accum::Sum { non_null: 0, .. } => Value::Null,
-            Accum::Sum {
-                int,
-                all_int: true,
-                overflow,
-                ..
-            } => {
-                if *overflow {
-                    return Err(SheetError::Relation(RelationError::BadAggregate {
-                        context: "integer overflow in SUM".into(),
-                    }));
-                }
-                Value::Int(*int)
-            }
-            Accum::Sum { float, .. } => Value::Float(*float),
-            Accum::Avg { count: 0, .. } => Value::Null,
-            Accum::Avg { sum, count } => Value::Float(*sum / *count as f64),
-            Accum::Min(m) | Accum::Max(m) => *m,
-        })
-    }
-}
-
 /// Resolve the spec's presentation sort columns against the canonical
 /// schema: `(column index, descending)` per key, outermost first.
 fn resolve_sort_idx(spec: &Spec, canonical: &Relation) -> Result<Vec<(usize, bool)>> {
@@ -295,10 +161,10 @@ fn group_positions(
 }
 
 /// Re-aggregate one group from scratch and write its value onto every
-/// member row (canonical and derived). Inputs are gathered in ascending
-/// canonical order — the same order the evaluator feeds `apply_refs` —
-/// so float results are bit-identical. An emptied group has no rows to
-/// receive a value and is skipped, exactly as in a fresh evaluation.
+/// member row (canonical and derived). Inputs are folded in ascending
+/// canonical order — the same order the evaluator folds them — so float
+/// results are bit-identical. An emptied group has no rows to receive a
+/// value and is skipped, exactly as in a fresh evaluation.
 #[allow(clippy::too_many_arguments)]
 fn recompute_group(
     canonical: &mut Relation,
@@ -316,11 +182,8 @@ fn recompute_group(
     }
     let mut ids: Vec<u32> = js.iter().map(|&j| perm[j]).collect();
     ids.sort_unstable();
-    let v = {
-        let rows = canonical.rows();
-        let inputs: Vec<&Value> = ids.iter().map(|&c| &rows[c as usize][in_idx]).collect();
-        func.apply_refs(&inputs)?
-    };
+    let rows = canonical.rows();
+    let v = func.apply(ids.iter().map(|&c| &rows[c as usize][in_idx]))?;
     for &j in &js {
         derived.rows_mut()[j][agg_idx] = v;
     }
@@ -479,9 +342,10 @@ struct CacheEntry {
     base_ids: Option<Vec<u32>>,
     /// Per-group running aggregate folds keyed by aggregate column
     /// position, then by the group's basis values in spec order. Built
-    /// lazily on the first tail append and advanced per append; any
-    /// retraction clears them (see [`Accum`]).
-    agg_accums: BTreeMap<usize, BTreeMap<Vec<Value>, Accum>>,
+    /// lazily on the first tail append and advanced per append. Any
+    /// retraction or mid-order row clears them: a fold cannot un-push,
+    /// and it must take its inputs in canonical order.
+    agg_folds: BTreeMap<usize, BTreeMap<Vec<Value>, Fold>>,
     /// Set-aside rows per selection id: ascending base ids holding every
     /// row that fails that selection alone and passes all the others,
     /// and no row of `canonical` (it may hold more — rows that fail other
@@ -534,7 +398,7 @@ impl CacheEntry {
             groups: BTreeMap::new(),
             col_vals: BTreeMap::new(),
             base_ids,
-            agg_accums: BTreeMap::new(),
+            agg_folds: BTreeMap::new(),
             rejected: BTreeMap::new(),
         }
     }
@@ -607,45 +471,31 @@ impl CacheEntry {
                     }
                 }
             });
-        // Bucket the input values by cached group id (pre-sized, one
-        // pass) and aggregate each non-empty group. When the input column
-        // is stable its values are read from the dense columnar buffer
-        // (built on first use, narrowed thereafter) instead of strided
-        // out of the row chunks.
-        let dense: Option<&[Value]> = if input_stable {
-            Some(
-                col_vals
-                    .entry(col_idx)
-                    .or_insert_with(|| rows.column(col_idx)),
-            )
-        } else {
-            None
-        };
-        let mut counts = vec![0u32; gc.groups as usize];
-        for &g in &gc.gid {
-            counts[g as usize] += 1;
-        }
-        let mut inputs: Vec<Vec<&Value>> = counts
-            .iter()
-            .map(|&c| Vec::with_capacity(c as usize))
-            .collect();
-        match dense {
-            Some(vals) => {
-                for (&g, v) in gc.gid.iter().zip(vals) {
-                    inputs[g as usize].push(v);
-                }
+        // One pass over the rows, pushing each input into its group's
+        // fold; a group emptied by narrowing never gets one. When the
+        // input column is stable its values are read from the dense
+        // columnar buffer (built on first use, narrowed thereafter)
+        // instead of strided out of the row chunks.
+        let mut folds: Vec<Option<Fold>> = vec![None; gc.groups as usize];
+        let mut push =
+            |g: u32, v: &Value| folds[g as usize].get_or_insert_with(|| func.fold()).push(v);
+        if input_stable {
+            let vals = col_vals
+                .entry(col_idx)
+                .or_insert_with(|| rows.column(col_idx));
+            for (&g, v) in gc.gid.iter().zip(vals.iter()) {
+                push(g, v)?;
             }
-            None => {
-                for (&g, t) in gc.gid.iter().zip(rows) {
-                    inputs[g as usize].push(&t[col_idx]);
-                }
+        } else {
+            for (&g, t) in gc.gid.iter().zip(rows) {
+                push(g, &t[col_idx])?;
             }
         }
         let mut per_group = vec![Value::Null; gc.groups as usize];
         let mut ty = ValueType::Null;
-        for (g, inp) in inputs.iter().enumerate() {
-            if !inp.is_empty() {
-                let v = func.apply_refs(inp)?;
+        for (g, fold) in folds.iter().enumerate() {
+            if let Some(fold) = fold {
+                let v = fold.value()?;
                 ty = ty.unify(v.value_type());
                 per_group[g] = v;
             }
@@ -987,7 +837,7 @@ impl CacheEntry {
         // Rank keys cannot take values they never ranked; they rebuild
         // lazily on the next reorganize. Folds cannot take mid-order rows.
         self.sort_keys.clear();
-        self.agg_accums.clear();
+        self.agg_folds.clear();
 
         // The presentation order: the surviving permutation, renumbered,
         // merged with the returning rows sorted by the spec's keys.
@@ -1066,7 +916,7 @@ impl CacheEntry {
         // Retraction invalidates the running folds: a fold cannot
         // un-push exactly (float SUM/AVG) and Min/Max cannot retract at
         // all — the classification rule DESIGN.md §14 documents.
-        self.agg_accums.clear();
+        self.agg_folds.clear();
         // Row provenance narrows by the same filter: a surviving
         // canonical row keeps its base id, and ascending order survives
         // an order-preserving filter.
@@ -1358,9 +1208,9 @@ impl CacheEntry {
                 Some((key, gc))
             })
             .collect();
-        // Accumulators are keyed by schema position too; dropping a
-        // column shifts every later one, so just rebuild lazily.
-        self.agg_accums.clear();
+        // Folds are keyed by schema position too; dropping a column
+        // shifts every later one, so just rebuild lazily.
+        self.agg_folds.clear();
         Ok(())
     }
 
@@ -1371,8 +1221,8 @@ impl CacheEntry {
     ///
     /// Grouped aggregates advance per-group running folds when the row
     /// lands at the canonical tail (ascending base ids make that the
-    /// common case); an out-of-order splice or a fold-less aggregate
-    /// (CountDistinct/StdDev) recomputes just the affected group.
+    /// common case); an out-of-order splice recomputes just the affected
+    /// group.
     fn insert_base_row(
         &mut self,
         base: &Relation,
@@ -1422,7 +1272,7 @@ impl CacheEntry {
             sort_keys,
             groups,
             col_vals,
-            agg_accums,
+            agg_folds,
             ..
         } = self;
         let perm = perm
@@ -1512,9 +1362,8 @@ impl CacheEntry {
                     Ok((bi, canonical.rows()[cpos][bi]))
                 })
                 .collect::<Result<Vec<_>>>()?;
-            let use_accum = at_tail && Accum::new(*func).is_some();
-            if !use_accum {
-                agg_accums.remove(&idx);
+            if !at_tail {
+                agg_folds.remove(&idx);
                 recompute_group(
                     canonical,
                     &mut derived.data,
@@ -1531,17 +1380,16 @@ impl CacheEntry {
             // Lazily seed the fold map from the pre-append rows (in
             // ascending canonical order, so the folds equal the cached
             // group values), then advance the new row's group.
-            let map = match agg_accums.entry(idx) {
+            let map = match agg_folds.entry(idx) {
                 std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
                 std::collections::btree_map::Entry::Vacant(slot) => {
-                    let mut map: BTreeMap<Vec<Value>, Accum> = BTreeMap::new();
+                    let mut map: BTreeMap<Vec<Value>, Fold> = BTreeMap::new();
                     let basis_idx: Vec<usize> = target.iter().map(|&(i, _)| i).collect();
                     for r in canonical.rows().iter().take(cpos) {
                         let key: Vec<Value> = basis_idx.iter().map(|&i| r[i]).collect();
-                        let acc = map
-                            .entry(key)
-                            .or_insert_with(|| Accum::new(*func).unwrap_or(Accum::Count(0)));
-                        acc.push(&r[in_idx])?;
+                        map.entry(key)
+                            .or_insert_with(|| func.fold())
+                            .push(&r[in_idx])?;
                     }
                     slot.insert(map)
                 }
@@ -1550,10 +1398,10 @@ impl CacheEntry {
             let input = canonical.rows()[cpos][in_idx];
             match map.entry(key) {
                 std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let acc = e.get_mut();
-                    let old = acc.value()?;
-                    acc.push(&input)?;
-                    let new = acc.value()?;
+                    let fold = e.get_mut();
+                    let old = fold.value()?;
+                    fold.push(&input)?;
+                    let new = fold.value()?;
                     if old == new {
                         // Untouched group value: only the new row needs
                         // the cell (it is at the tail, so derived row p
@@ -1571,11 +1419,9 @@ impl CacheEntry {
                     }
                 }
                 std::collections::btree_map::Entry::Vacant(e) => {
-                    let acc = e.insert(
-                        Accum::new(*func).ok_or_else(|| internal("fold-less accumulator"))?,
-                    );
-                    acc.push(&input)?;
-                    let v = acc.value()?;
+                    let fold = e.insert(func.fold());
+                    fold.push(&input)?;
+                    let v = fold.value()?;
                     canonical.rows_mut()[cpos][idx] = v;
                     derived.data.rows_mut()[p][idx] = v;
                     let ty = canonical.schema().columns()[idx].ty.unify(v.value_type());
@@ -1631,7 +1477,7 @@ impl CacheEntry {
             sort_keys,
             groups,
             col_vals,
-            agg_accums,
+            agg_folds,
             ..
         } = self;
         let perm = perm
@@ -1665,7 +1511,7 @@ impl CacheEntry {
         sort_keys.clear();
         groups.clear();
         col_vals.clear();
-        agg_accums.clear();
+        agg_folds.clear();
         Ok(())
     }
 
@@ -1748,13 +1594,13 @@ impl CacheEntry {
                 perm,
                 sort_keys,
                 col_vals,
-                agg_accums,
+                agg_folds,
                 ..
             } = self;
             let perm = perm
                 .as_ref()
                 .ok_or_else(|| internal("update_base_cell requires the permutation"))?;
-            agg_accums.remove(&idx);
+            agg_folds.remove(&idx);
             recompute_group(
                 canonical,
                 &mut derived.data,
@@ -1768,6 +1614,97 @@ impl CacheEntry {
             re_unify_column(canonical, &mut derived.data, idx);
             sort_keys.remove(&idx);
             col_vals.remove(&idx);
+        }
+        Ok(())
+    }
+
+    /// Update a base cell by delete + re-insert of its row (Tier C): the
+    /// updated column drives a selection, formula, grouping basis or
+    /// sort key, so the row may move, leave the view or change groups.
+    fn reinsert_base_row(&mut self, base: &Relation, row: u32, state: &QueryState) -> Result<()> {
+        // Record each aggregate's *old* group key first: the updated row
+        // may leave its group, whose remaining rows then hold a stale
+        // (wider) fold.
+        let live = self
+            .base_ids
+            .as_ref()
+            .ok_or_else(|| SheetError::Internal {
+                detail: "base-data patch without row provenance".to_string(),
+            })?
+            .binary_search(&row)
+            .ok();
+        let mut old_targets: Vec<Option<Vec<(usize, Value)>>> = vec![None; state.computed.len()];
+        if let Some(cpos) = live {
+            for (ci, col) in state.computed.iter().enumerate() {
+                let ComputedDef::Aggregate { basis, .. } = &col.def else {
+                    continue;
+                };
+                let target: Vec<(usize, Value)> = basis
+                    .iter()
+                    .map(|b| {
+                        let bi = self.canonical.schema().index_of(b)?;
+                        Ok((bi, self.canonical.rows()[cpos][bi]))
+                    })
+                    .collect::<Result<Vec<_>>>()?;
+                old_targets[ci] = Some(target);
+            }
+            self.remove_canonical_row(cpos)?;
+        }
+        let (ids, staged) = stage_base_rows(self.canonical.schema(), base, vec![row], state)?;
+        for (&id, row) in ids.iter().zip(staged.rows()) {
+            self.insert_base_row(base, id, row, state)?;
+        }
+        // Re-aggregate every old group unconditionally. Even when the
+        // row re-enters the same group the fast "value unchanged" check
+        // inside the insert is not sound here: the cached cells hold the
+        // pre-removal fold while the fresh folds hold the post-removal
+        // one, so equality of the latter proves nothing about the
+        // former. (Pure appends never remove, which is why the check is
+        // sound there.)
+        let sort_idx = resolve_sort_idx(&self.spec, &self.canonical)?;
+        for (ci, col) in state.computed.iter().enumerate() {
+            let Some(target) = &old_targets[ci] else {
+                continue;
+            };
+            let ComputedDef::Aggregate {
+                func,
+                column: in_col,
+                ..
+            } = &col.def
+            else {
+                continue;
+            };
+            let idx = self.canonical.schema().index_of(&col.name)?;
+            let in_idx = self.canonical.schema().index_of(in_col)?;
+            self.agg_folds.remove(&idx);
+            let CacheEntry {
+                canonical,
+                derived,
+                perm,
+                ..
+            } = self;
+            let perm = perm.as_ref().ok_or_else(|| SheetError::Internal {
+                detail: "base-data patch without the permutation".to_string(),
+            })?;
+            recompute_group(
+                canonical,
+                &mut derived.data,
+                perm,
+                &sort_idx,
+                idx,
+                in_idx,
+                *func,
+                target,
+            )?;
+        }
+        // Retraction can narrow any computed column's unified type;
+        // updates are not on the µs-gated path, so re-derive them all.
+        for col in &state.computed {
+            let idx = self.canonical.schema().index_of(&col.name)?;
+            let CacheEntry {
+                canonical, derived, ..
+            } = self;
+            re_unify_column(canonical, &mut derived.data, idx);
         }
         Ok(())
     }
@@ -1826,6 +1763,45 @@ pub struct Spreadsheet {
 const FULL_NO_CACHE: StateDelta = StateDelta::Full {
     reason: "no cached evaluation",
 };
+
+/// A base-data edit, committed by [`Spreadsheet::edit_base`].
+enum BaseEdit<'a> {
+    Append(Vec<Tuple>),
+    /// Ascending, deduplicated base row ids.
+    Delete(Vec<u32>),
+    Update {
+        row: u32,
+        column: &'a str,
+        value: Value,
+    },
+    /// A rebase onto a base that extends the current one.
+    Extend(Arc<Relation>),
+    /// A rebase onto any other base with the same columns.
+    Replace(Arc<Relation>),
+}
+
+/// A base edit as it landed in `R`: what the cache patch reads, and what
+/// [`Spreadsheet::take_back`] needs to undo it.
+enum Landed<'a> {
+    /// Base rows `first..first + count` are new; `prior` is the base an
+    /// extending rebase replaced.
+    Appended {
+        first: usize,
+        count: usize,
+        prior: Option<Arc<Relation>>,
+    },
+    Deleted {
+        ids: Vec<u32>,
+        removed: Vec<(u32, Tuple)>,
+    },
+    Updated {
+        row: u32,
+        column: &'a str,
+        old: Value,
+    },
+    /// The base a non-extending rebase replaced.
+    Replaced(Arc<Relation>),
+}
 
 /// How `apply_cached` brought (or failed to bring) the cache current —
 /// `view` audits the `Patched` outcomes when the self-audit is on.
@@ -2056,9 +2032,7 @@ impl Spreadsheet {
     /// entry must be discarded.
     fn apply_cached(&mut self, content: &ContentKey, visible: &Vec<String>) -> Result<CachePath> {
         let spec = self.state.spec.clone();
-        // The delta paths reuse the index-engine machinery, so a sheet
-        // pinned to the naive oracle keeps replaying the naive pipeline.
-        let incremental = self.incremental && !self.eval_opts.naive;
+        let incremental = self.patches_enabled();
         let delta = match self.cache.as_ref() {
             None => return Ok(CachePath::Miss),
             Some(entry) if entry.content == *content => None,
@@ -2326,25 +2300,19 @@ impl Spreadsheet {
     // Base-data edit operators (streaming deltas, DESIGN.md §14)
     // ------------------------------------------------------------------
 
+    /// Whether the delta-aware patch paths may run. They reuse the
+    /// index-engine machinery, so a sheet pinned to the naive oracle
+    /// keeps replaying the naive pipeline.
+    fn patches_enabled(&self) -> bool {
+        self.incremental && !self.eval_opts.naive
+    }
+
     /// Why the cached evaluation cannot be patched for a base-data edit,
     /// or `None` when the streaming paths are sound. The returned string
     /// doubles as the `Full { reason }` the fallback records, so a
     /// refused patch is diagnosable through [`Self::explain`].
-    /// Armable failure gates for the base-data edit paths (the macro
-    /// needs the site as a literal, hence one function per site); with
-    /// the `fault-injection` feature off they compile to `Ok(())`.
-    fn fault_base_append() -> Result<()> {
-        ssa_relation::fault_check!("delta.base_append");
-        Ok(())
-    }
-
-    fn fault_base_retract() -> Result<()> {
-        ssa_relation::fault_check!("delta.base_retract");
-        Ok(())
-    }
-
     fn base_patch_block(&self) -> Option<&'static str> {
-        if !self.incremental || self.eval_opts.naive {
+        if !self.patches_enabled() {
             return Some("incremental paths disabled");
         }
         let Some(entry) = self.cache.as_ref() else {
@@ -2463,53 +2431,13 @@ impl Spreadsheet {
     /// in place when sound (sublinear per row: each row runs the
     /// selections once, splices into the permutation/tree by binary
     /// search, and advances per-group aggregate folds). Returns the
-    /// number of rows appended. On any failure the base relation is
-    /// restored — a failed append is a perfect no-op.
+    /// number of rows appended. A failed append is a perfect no-op.
     pub fn append_rows(&mut self, rows: Vec<Tuple>) -> Result<usize> {
         let count = rows.len();
         if count == 0 {
             return Ok(0);
         }
-        // Base edits do not move the content key, so a stale cache from
-        // an unseen state edit would otherwise be patched as if current:
-        // bring it current (or discover it cannot be) first.
-        if self.incremental && !self.eval_opts.naive && self.cache.is_some() {
-            self.view()?;
-        }
-        let block = self.base_patch_block();
-        let first = Arc::make_mut(&mut self.base).append_rows(rows)?;
-        let patched: Result<bool> = Self::fault_base_append().and_then(|()| match block {
-            None => self.patch_base_append(first, count).map(|()| true),
-            Some(_) => self.trial_eval().map(|()| false),
-        });
-        match patched {
-            Ok(true) => {
-                self.version += 1;
-                self.last_delta = StateDelta::RowsAppended { count };
-                if self.audit {
-                    self.audit_cache("rows-appended")?;
-                }
-                Ok(count)
-            }
-            Ok(false) => {
-                self.version += 1;
-                self.cache = None;
-                self.last_delta = StateDelta::Full {
-                    reason: block.unwrap_or("base data changed"),
-                };
-                Ok(count)
-            }
-            Err(e) => {
-                let ids: Vec<u32> = (first..first + count).map(|i| i as u32).collect();
-                // The rows were just appended at the tail, so removal
-                // cannot fail; a half-applied patch still forces the
-                // cache drop below either way.
-                let _ = Arc::make_mut(&mut self.base).remove_rows_at(&ids);
-                self.cache = None;
-                self.last_delta = FULL_NO_CACHE;
-                Err(e)
-            }
-        }
+        self.edit_base(BaseEdit::Append(rows)).map(|()| count)
     }
 
     /// Append a single row (convenience over [`Self::append_rows`]).
@@ -2520,48 +2448,16 @@ impl Spreadsheet {
     /// Delete the base rows at `ids` (positions in the base relation;
     /// duplicates ignored), narrowing the cached evaluation through the
     /// row-provenance map when sound. Returns the number of rows
-    /// deleted. On failure the rows are reinserted — a no-op.
+    /// deleted. A failed delete is a perfect no-op.
     pub fn delete_rows(&mut self, ids: &[u32]) -> Result<usize> {
         let mut ids: Vec<u32> = ids.to_vec();
         ids.sort_unstable();
         ids.dedup();
-        if ids.is_empty() {
+        let count = ids.len();
+        if count == 0 {
             return Ok(0);
         }
-        if self.incremental && !self.eval_opts.naive && self.cache.is_some() {
-            self.view()?;
-        }
-        let block = self.base_patch_block();
-        let removed = Arc::make_mut(&mut self.base).remove_rows_at(&ids)?;
-        let count = removed.len();
-        let patched: Result<bool> = Self::fault_base_retract().and_then(|()| match block {
-            None => self.patch_base_delete(&ids).map(|()| true),
-            Some(_) => self.trial_eval().map(|()| false),
-        });
-        match patched {
-            Ok(true) => {
-                self.version += 1;
-                self.last_delta = StateDelta::RowsDeleted { count };
-                if self.audit {
-                    self.audit_cache("rows-deleted")?;
-                }
-                Ok(count)
-            }
-            Ok(false) => {
-                self.version += 1;
-                self.cache = None;
-                self.last_delta = StateDelta::Full {
-                    reason: block.unwrap_or("base data changed"),
-                };
-                Ok(count)
-            }
-            Err(e) => {
-                Arc::make_mut(&mut self.base).reinsert_rows(removed);
-                self.cache = None;
-                self.last_delta = FULL_NO_CACHE;
-                Err(e)
-            }
-        }
+        self.edit_base(BaseEdit::Delete(ids)).map(|()| count)
     }
 
     /// Delete every base row satisfying `predicate` (over base columns
@@ -2581,8 +2477,8 @@ impl Spreadsheet {
     /// in place when the column drives nothing positional (Tier A), as
     /// delete+re-insert of the row otherwise — with key-change detection
     /// confined to the row's old and new groups, so untouched groups
-    /// never re-aggregate. Returns the previous value. On failure the
-    /// old value is restored — a no-op.
+    /// never re-aggregate. Returns the previous value. A failed update
+    /// is a perfect no-op.
     pub fn update_cell(&mut self, row: u32, column: &str, value: Value) -> Result<Value> {
         if !self.base.schema().contains(column) {
             return Err(SheetError::UnknownColumn {
@@ -2593,166 +2489,171 @@ impl Spreadsheet {
         if current == value {
             return Ok(current);
         }
-        if self.incremental && !self.eval_opts.naive && self.cache.is_some() {
-            self.view()?;
-        }
-        let block = self.base_patch_block();
-        let old = Arc::make_mut(&mut self.base).set_value(row as usize, column, value)?;
-        let patched: Result<bool> = Self::fault_base_retract().and_then(|()| match block {
-            None => self.patch_base_update(row, column).map(|()| true),
-            Some(_) => self.trial_eval().map(|()| false),
-        });
-        match patched {
-            Ok(true) => {
-                self.version += 1;
-                self.last_delta = StateDelta::CellsUpdated { count: 1 };
-                if self.audit {
-                    self.audit_cache("cells-updated")?;
+        self.edit_base(BaseEdit::Update { row, column, value })
+            .map(|()| current)
+    }
+
+    /// The one transaction every base-data edit commits through
+    /// (DESIGN.md §12):
+    /// 1. a cache left stale by an unseen state edit is brought current;
+    ///    if it cannot be, it is dropped and the edit takes the full path;
+    /// 2. [`Self::base_patch_block`] picks the patch or the full path;
+    /// 3. the edit lands in `R`;
+    /// 4. the patch path patches the cache, and the self-audit (when on)
+    ///    checks it; the full path drops the cache and runs
+    ///    [`Self::trial_eval`];
+    /// 5. only then do the version and the recorded delta move.
+    ///
+    /// On any `Err` the base, version and delta are as before and the
+    /// cache is dropped.
+    fn edit_base(&mut self, edit: BaseEdit) -> Result<()> {
+        let last_delta = self.last_delta.clone();
+        let block = match edit {
+            BaseEdit::Replace(_) => Some("new base does not extend the old one"),
+            _ => {
+                if self.patches_enabled() && self.cache.is_some() && self.view().is_err() {
+                    self.cache = None;
                 }
-                Ok(old)
+                self.base_patch_block()
             }
-            Ok(false) => {
-                self.version += 1;
+        };
+        let landed = match self.land(edit) {
+            Ok(landed) => landed,
+            Err(e) => {
+                self.last_delta = last_delta;
+                return Err(e);
+            }
+        };
+        let committed = match block {
+            None => self.patch_base(&landed),
+            Some(reason) => {
                 self.cache = None;
-                self.last_delta = StateDelta::Full {
-                    reason: block.unwrap_or("base data changed"),
-                };
-                Ok(old)
+                self.trial_eval().map(|()| StateDelta::Full { reason })
+            }
+        };
+        match committed {
+            Ok(delta) => {
+                self.version += 1;
+                self.last_delta = delta;
+                Ok(())
             }
             Err(e) => {
-                let _ = Arc::make_mut(&mut self.base).set_value(row as usize, column, old);
+                self.take_back(landed);
                 self.cache = None;
-                self.last_delta = FULL_NO_CACHE;
+                self.last_delta = last_delta;
                 Err(e)
             }
         }
     }
 
-    fn patch_base_append(&mut self, first: usize, count: usize) -> Result<()> {
-        let Spreadsheet {
-            cache, base, state, ..
-        } = self;
-        let entry = cache.as_mut().ok_or_else(|| SheetError::Internal {
-            detail: "base-data patch without a cached evaluation".to_string(),
-        })?;
-        // A new row failing one selection alone is in no set-aside set.
-        entry.rejected.clear();
-        let ids = (first..first + count).map(|i| i as u32).collect();
-        let (ids, staged) = stage_base_rows(entry.canonical.schema(), base, ids, state)?;
-        for (&id, row) in ids.iter().zip(staged.rows()) {
-            entry.insert_base_row(base, id, row, state)?;
-        }
-        Ok(())
-    }
-
-    fn patch_base_delete(&mut self, removed: &[u32]) -> Result<()> {
-        let Spreadsheet { cache, state, .. } = self;
-        let entry = cache.as_mut().ok_or_else(|| SheetError::Internal {
-            detail: "base-data patch without a cached evaluation".to_string(),
-        })?;
-        // Deletion renumbers base ids.
-        entry.rejected.clear();
-        entry.delete_base_rows(removed, state)
-    }
-
-    fn patch_base_update(&mut self, row: u32, column: &str) -> Result<()> {
-        let in_place = self.update_in_place_ok(column);
-        let Spreadsheet {
-            cache, base, state, ..
-        } = self;
-        let entry = cache.as_mut().ok_or_else(|| SheetError::Internal {
-            detail: "base-data patch without a cached evaluation".to_string(),
-        })?;
-        // The row's selection verdicts may have moved.
-        entry.rejected.clear();
-        if in_place {
-            return entry.update_base_cell(base, row, column, state);
-        }
-        // Tier C — delete + re-insert. Record each aggregate's *old*
-        // group key first: the updated row may leave its group, whose
-        // remaining rows then hold a stale (wider) fold.
-        let live = entry
-            .base_ids
-            .as_ref()
-            .ok_or_else(|| SheetError::Internal {
-                detail: "base-data patch without row provenance".to_string(),
-            })?
-            .binary_search(&row)
-            .ok();
-        let mut old_targets: Vec<Option<Vec<(usize, Value)>>> = vec![None; state.computed.len()];
-        if let Some(cpos) = live {
-            for (ci, col) in state.computed.iter().enumerate() {
-                let ComputedDef::Aggregate { basis, .. } = &col.def else {
-                    continue;
-                };
-                let target: Vec<(usize, Value)> = basis
-                    .iter()
-                    .map(|b| {
-                        let bi = entry.canonical.schema().index_of(b)?;
-                        Ok((bi, entry.canonical.rows()[cpos][bi]))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                old_targets[ci] = Some(target);
+    /// Make `edit` in the base relation (copy-on-write when shared).
+    fn land<'a>(&mut self, edit: BaseEdit<'a>) -> Result<Landed<'a>> {
+        Ok(match edit {
+            BaseEdit::Append(rows) => {
+                let count = rows.len();
+                let first = Arc::make_mut(&mut self.base).append_rows(rows)?;
+                Landed::Appended {
+                    first,
+                    count,
+                    prior: None,
+                }
             }
-            entry.remove_canonical_row(cpos)?;
+            BaseEdit::Delete(ids) => {
+                let removed = Arc::make_mut(&mut self.base).remove_rows_at(&ids)?;
+                Landed::Deleted { ids, removed }
+            }
+            BaseEdit::Update { row, column, value } => {
+                let old = Arc::make_mut(&mut self.base).set_value(row as usize, column, value)?;
+                Landed::Updated { row, column, old }
+            }
+            BaseEdit::Extend(base) => {
+                let first = self.base.len();
+                let count = base.len() - first;
+                let prior = std::mem::replace(&mut self.base, base);
+                Landed::Appended {
+                    first,
+                    count,
+                    prior: Some(prior),
+                }
+            }
+            BaseEdit::Replace(base) => Landed::Replaced(std::mem::replace(&mut self.base, base)),
+        })
+    }
+
+    /// Undo a landed edit in the base relation.
+    fn take_back(&mut self, landed: Landed) {
+        match landed {
+            Landed::Appended {
+                prior: Some(prior), ..
+            }
+            | Landed::Replaced(prior) => self.base = prior,
+            Landed::Appended { first, count, .. } => {
+                let ids: Vec<u32> = (first..first + count).map(|i| i as u32).collect();
+                // invariant: the rows were just appended at the tail, so
+                // removing them cannot fail.
+                let _ = Arc::make_mut(&mut self.base).remove_rows_at(&ids);
+            }
+            Landed::Deleted { removed, .. } => Arc::make_mut(&mut self.base).reinsert_rows(removed),
+            Landed::Updated { row, column, old } => {
+                // invariant: the cell was just written, so writing it back
+                // succeeds.
+                let _ = Arc::make_mut(&mut self.base).set_value(row as usize, column, old);
+            }
         }
-        let (ids, staged) = stage_base_rows(entry.canonical.schema(), base, vec![row], state)?;
-        for (&id, row) in ids.iter().zip(staged.rows()) {
-            entry.insert_base_row(base, id, row, state)?;
+    }
+
+    /// Patch the cache for a landed edit under the fault sites
+    /// `delta.base_append` / `delta.base_retract` and, when the
+    /// self-audit is on, check the patch. Returns the delta the edit
+    /// records.
+    fn patch_base(&mut self, landed: &Landed) -> Result<StateDelta> {
+        let in_place =
+            matches!(*landed, Landed::Updated { column, .. } if self.update_in_place_ok(column));
+        let Spreadsheet {
+            cache, base, state, ..
+        } = self;
+        let entry = cache.as_mut().ok_or_else(|| SheetError::Internal {
+            detail: "base-data patch without a cached evaluation".to_string(),
+        })?;
+        // Set-aside rows go stale: a new row failing one selection alone
+        // is in no set, deletion renumbers base ids, and an updated row's
+        // selection verdicts may move.
+        entry.rejected.clear();
+        let (delta, kind) = match *landed {
+            Landed::Appended { first, count, .. } => {
+                ssa_relation::fault_check!("delta.base_append");
+                let ids = (first..first + count).map(|i| i as u32).collect();
+                let (ids, staged) = stage_base_rows(entry.canonical.schema(), base, ids, state)?;
+                for (&id, row) in ids.iter().zip(staged.rows()) {
+                    entry.insert_base_row(base, id, row, state)?;
+                }
+                (StateDelta::RowsAppended { count }, "rows-appended")
+            }
+            Landed::Deleted { ref ids, .. } => {
+                ssa_relation::fault_check!("delta.base_retract");
+                entry.delete_base_rows(ids, state)?;
+                let count = ids.len();
+                (StateDelta::RowsDeleted { count }, "rows-deleted")
+            }
+            Landed::Updated { row, column, .. } => {
+                ssa_relation::fault_check!("delta.base_retract");
+                if in_place {
+                    entry.update_base_cell(base, row, column, state)?;
+                } else {
+                    entry.reinsert_base_row(base, row, state)?;
+                }
+                (StateDelta::CellsUpdated { count: 1 }, "cells-updated")
+            }
+            Landed::Replaced(_) => {
+                return Err(SheetError::Internal {
+                    detail: "a replaced base has no cache patch".to_string(),
+                })
+            }
+        };
+        if self.audit {
+            self.audit_cache(kind)?;
         }
-        // Re-aggregate every old group unconditionally. Even when the
-        // row re-enters the same group the fast "value unchanged" check
-        // inside the insert is not sound here: the cached cells hold the
-        // pre-removal fold while the fresh accumulators hold the
-        // post-removal one, so equality of the latter proves nothing
-        // about the former. (Pure appends never remove, which is why the
-        // check is sound there.)
-        let sort_idx = resolve_sort_idx(&entry.spec, &entry.canonical)?;
-        for (ci, col) in state.computed.iter().enumerate() {
-            let Some(target) = &old_targets[ci] else {
-                continue;
-            };
-            let ComputedDef::Aggregate {
-                func,
-                column: in_col,
-                ..
-            } = &col.def
-            else {
-                continue;
-            };
-            let idx = entry.canonical.schema().index_of(&col.name)?;
-            let in_idx = entry.canonical.schema().index_of(in_col)?;
-            entry.agg_accums.remove(&idx);
-            let CacheEntry {
-                canonical,
-                derived,
-                perm,
-                ..
-            } = &mut *entry;
-            let perm = perm.as_ref().ok_or_else(|| SheetError::Internal {
-                detail: "base-data patch without the permutation".to_string(),
-            })?;
-            recompute_group(
-                canonical,
-                &mut derived.data,
-                perm,
-                &sort_idx,
-                idx,
-                in_idx,
-                *func,
-                target,
-            )?;
-        }
-        // Retraction can narrow any computed column's unified type;
-        // updates are not on the µs-gated path, so re-derive them all.
-        for col in &state.computed {
-            let idx = entry.canonical.schema().index_of(&col.name)?;
-            let CacheEntry {
-                canonical, derived, ..
-            } = &mut *entry;
-            re_unify_column(canonical, &mut derived.data, idx);
-        }
-        Ok(())
+        Ok(delta)
     }
 
     // ------------------------------------------------------------------
@@ -3429,11 +3330,10 @@ impl Spreadsheet {
     /// failure, say) leaves the sheet on its old base.
     ///
     /// When the new base only *extends* the old one (see
-    /// [`Relation::extends`]) and the base-edit gates allow it, the warm
-    /// cache is patched with the appended rows exactly as
-    /// [`Self::append_rows`] would, and the edit records
-    /// [`StateDelta::RowsAppended`]. Any other rebase drops the cache and
-    /// records why as `Full { reason }`.
+    /// [`Relation::extends`]) the rebase is an append of the new rows and
+    /// commits exactly as [`Self::append_rows`] would, patching the warm
+    /// cache when the base-edit gates allow it. Any other rebase drops
+    /// the cache and records why as `Full { reason }`.
     pub fn rebase(&mut self, base: Arc<Relation>) -> Result<()> {
         if base.schema() != self.base.schema() {
             return Err(SheetError::NotCompatible {
@@ -3443,68 +3343,12 @@ impl Spreadsheet {
         if Arc::ptr_eq(&base, &self.base) {
             return Ok(());
         }
-        let reason = if base.extends(&self.base) {
-            // As in `append_rows`: a cache left stale by an unseen state
-            // edit must be brought current before it is patched. If that
-            // fails, the cache is untrustworthy and the gate below
-            // reports it missing.
-            if self.incremental
-                && !self.eval_opts.naive
-                && self.cache.is_some()
-                && self.view().is_err()
-            {
-                self.cache = None;
-            }
-            match self.base_patch_block() {
-                None => return self.rebase_appended(base),
-                Some(block) => block,
-            }
+        let edit = if base.extends(&self.base) {
+            BaseEdit::Extend(base)
         } else {
-            "new base does not extend the old one"
+            BaseEdit::Replace(base)
         };
-        let old_base = std::mem::replace(&mut self.base, base);
-        let old_cache = self.cache.take();
-        let old_delta = std::mem::replace(&mut self.last_delta, StateDelta::Full { reason });
-        if let Err(e) = self.trial_eval() {
-            self.base = old_base;
-            self.cache = old_cache;
-            self.last_delta = old_delta;
-            return Err(e);
-        }
-        self.version += 1;
-        Ok(())
-    }
-
-    /// The patch path of [`Self::rebase`]: `base` extends the current
-    /// base and the cache is current and patchable. On failure — the
-    /// self-audit included — the old base comes back and the (possibly
-    /// half-patched) cache is dropped.
-    fn rebase_appended(&mut self, base: Arc<Relation>) -> Result<()> {
-        let first = self.base.len();
-        let count = base.len() - first;
-        let old_base = std::mem::replace(&mut self.base, base);
-        let patched = Self::fault_base_append()
-            .and_then(|()| self.patch_base_append(first, count))
-            .and_then(|()| {
-                if self.audit {
-                    self.audit_cache("rows-appended")
-                } else {
-                    Ok(())
-                }
-            });
-        match patched {
-            Ok(()) => {
-                self.version += 1;
-                self.last_delta = StateDelta::RowsAppended { count };
-                Ok(())
-            }
-            Err(e) => {
-                self.base = old_base;
-                self.cache = None;
-                self.last_delta = FULL_NO_CACHE;
-                Err(e)
-            }
-        }
+        self.edit_base(edit)
     }
 
     /// Restore from a raw snapshot (used by the history/undo machinery).
@@ -4303,5 +4147,86 @@ mod tests {
             }
         );
         assert_eq!(s.view().unwrap().len(), 10);
+    }
+
+    /// Every base edit commits through one transaction, and the self-audit
+    /// runs inside its rollback: an edit whose patch the audit rejects
+    /// leaves base, version, state and delta as it found them.
+    #[test]
+    fn audit_divergence_rolls_back_every_base_edit() {
+        type Edit = fn(&mut Spreadsheet) -> Result<()>;
+        fn new_row() -> Tuple {
+            tuple![999, "Jetta", 15500, 2005, 60000, "Good"]
+        }
+        let edits: [(&str, Edit); 5] = [
+            ("append", |s| s.append_row(new_row()).map(drop)),
+            ("delete", |s| s.delete_rows(&[1]).map(drop)),
+            ("update in place", |s| {
+                s.update_cell(2, "Mileage", Value::Int(1)).map(drop)
+            }),
+            ("update by re-insert", |s| {
+                s.update_cell(3, "Model", Value::str("Civic")).map(drop)
+            }),
+            ("extending rebase", |s| {
+                let mut base = s.base().clone();
+                base.append_rows(vec![new_row()])?;
+                s.rebase(Arc::new(base))
+            }),
+        ];
+        for (name, edit) in edits {
+            let mut s = warm_grouped_sheet();
+            s.set_audit(true);
+            // Corrupt a cell no edit touches, so every patch diverges.
+            let entry = s.cache.as_mut().unwrap();
+            let col = entry.canonical.schema().index_of("Condition").unwrap();
+            entry.canonical.rows_mut()[0][col] = Value::str("Corrupt");
+            let base = s.base().clone();
+            let version = s.version();
+            let state = s.state().clone();
+            let delta = s.last_delta().clone();
+            let err = edit(&mut s).unwrap_err();
+            assert!(
+                matches!(err, SheetError::AuditDivergence { .. }),
+                "{name}: {err}"
+            );
+            assert_eq!(s.base(), &base, "{name}: base");
+            assert_eq!(s.version(), version, "{name}: version");
+            assert_eq!(s.state(), &state, "{name}: state");
+            assert_eq!(s.last_delta(), &delta, "{name}: delta");
+            assert_matches_fresh(&mut s);
+        }
+    }
+
+    /// A formula that fails only past the trial sample leaves the cache
+    /// stale and unevaluable; a base edit that removes the failing row
+    /// must still go through (the view it needs is dropped, and the
+    /// trial evaluation decides).
+    #[test]
+    fn stale_failing_cache_does_not_block_base_edits() {
+        use ssa_relation::schema::Schema;
+        let stale = || {
+            let rows = (0..400i64)
+                .map(|i| tuple![i, i64::from(i != 300)])
+                .collect();
+            let r = Relation::with_rows(
+                "div",
+                Schema::of(&[("ID", ValueType::Int), ("X", ValueType::Int)]),
+                rows,
+            )
+            .unwrap();
+            let mut s = Spreadsheet::over(r);
+            s.view().unwrap();
+            s.formula(Some("F"), Expr::lit(10).div(Expr::col("X")))
+                .unwrap();
+            // Checked on a copy: the sheet itself must see no view.
+            assert!(s.clone().view().is_err(), "row 300 divides by zero");
+            s
+        };
+        let mut s = stale();
+        s.delete_rows(&[300]).unwrap();
+        assert_eq!(s.view().unwrap().len(), 399);
+        let mut s = stale();
+        s.update_cell(300, "X", Value::Int(1)).unwrap();
+        assert_eq!(s.view().unwrap().len(), 400);
     }
 }

@@ -6,6 +6,11 @@
 //! except COUNT(*); empty (or all-NULL) inputs yield NULL, except COUNT
 //! which yields 0 — SQL semantics, which the PostgreSQL-backed prototype
 //! inherited.
+//!
+//! Every function is computed by one streaming [`Fold`]: the evaluators,
+//! the grouping operator and the cache patches that keep an aggregate
+//! column current under base edits (Sec. III-B's automatic update) all
+//! push values into it, so a streamed value and a fresh evaluation agree.
 
 use crate::error::{RelationError, Result};
 use crate::value::Value;
@@ -62,99 +67,165 @@ impl AggFunc {
         matches!(self, AggFunc::Sum | AggFunc::Avg | AggFunc::StdDev)
     }
 
-    /// Apply the aggregate to the values of one group.
-    pub fn apply(self, values: &[Value]) -> Result<Value> {
-        let refs: Vec<&Value> = values.iter().collect();
-        self.apply_refs(&refs)
+    /// An empty streaming fold of this function.
+    pub fn fold(self) -> Fold {
+        Fold(match self {
+            AggFunc::Count => Acc::Count(0),
+            AggFunc::CountNonNull => Acc::CountNonNull(0),
+            AggFunc::CountDistinct => Acc::CountDistinct(Vec::new()),
+            AggFunc::Sum => Acc::Sum {
+                int: 0,
+                float: -0.0,
+                all_int: true,
+                overflow: false,
+                non_null: 0,
+            },
+            AggFunc::Avg => Acc::Avg {
+                sum: -0.0,
+                count: 0,
+            },
+            AggFunc::Min => Acc::Min(Value::Null),
+            AggFunc::Max => Acc::Max(Value::Null),
+            AggFunc::StdDev => Acc::StdDev(Vec::new()),
+        })
     }
 
-    /// Like [`Self::apply`], over borrowed values — the index-vector
-    /// engine aggregates straight out of column buffers without cloning
-    /// the group's inputs.
-    pub fn apply_refs(self, values: &[&Value]) -> Result<Value> {
-        match self {
-            AggFunc::Count => Ok(Value::Int(values.len() as i64)),
-            AggFunc::CountNonNull => Ok(Value::Int(
-                values.iter().filter(|v| !v.is_null()).count() as i64
-            )),
-            AggFunc::CountDistinct => {
-                let mut seen: Vec<&Value> =
-                    values.iter().copied().filter(|v| !v.is_null()).collect();
-                seen.sort();
-                seen.dedup();
-                Ok(Value::Int(seen.len() as i64))
-            }
-            AggFunc::Sum => {
-                let nums = numeric(values, "SUM")?;
-                if nums.is_empty() {
-                    return Ok(Value::Null);
-                }
-                // Preserve integer typing when every input was an integer.
-                if values
-                    .iter()
-                    .filter(|v| !v.is_null())
-                    .all(|v| matches!(**v, Value::Int(_)))
-                {
-                    let mut acc: i64 = 0;
-                    for v in values.iter().filter(|v| !v.is_null()) {
-                        if let Value::Int(i) = *v {
-                            acc = acc.checked_add(*i).ok_or(RelationError::BadAggregate {
-                                context: "integer overflow in SUM".into(),
-                            })?;
-                        }
-                    }
-                    Ok(Value::Int(acc))
-                } else {
-                    Ok(Value::Float(nums.iter().sum()))
-                }
-            }
-            AggFunc::Avg => {
-                let nums = numeric(values, "AVG")?;
-                if nums.is_empty() {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Float(nums.iter().sum::<f64>() / nums.len() as f64))
-                }
-            }
-            AggFunc::Min => Ok(values
-                .iter()
-                .copied()
-                .filter(|v| !v.is_null())
-                .min()
-                .cloned()
-                .unwrap_or(Value::Null)),
-            AggFunc::Max => Ok(values
-                .iter()
-                .copied()
-                .filter(|v| !v.is_null())
-                .max()
-                .cloned()
-                .unwrap_or(Value::Null)),
-            AggFunc::StdDev => {
-                let nums = numeric(values, "STDDEV")?;
-                if nums.is_empty() {
-                    return Ok(Value::Null);
-                }
-                let mean = nums.iter().sum::<f64>() / nums.len() as f64;
-                let var =
-                    nums.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / nums.len() as f64;
-                Ok(Value::Float(var.sqrt()))
-            }
+    /// Apply the aggregate to the values of one group, in order.
+    pub fn apply<'a>(self, values: impl IntoIterator<Item = &'a Value>) -> Result<Value> {
+        let mut fold = self.fold();
+        for v in values {
+            fold.push(v)?;
         }
+        fold.value()
     }
 }
 
-fn numeric(values: &[&Value], func: &str) -> Result<Vec<f64>> {
-    values
-        .iter()
-        .copied()
-        .filter(|v| !v.is_null())
-        .map(|v| {
+/// A streaming fold of one aggregate over one group: [`Fold::push`] takes
+/// the next input and [`Fold::value`] reads the result so far without
+/// consuming the fold. It is the only aggregate implementation, so a value
+/// streamed into a cache one row at a time equals a fresh evaluation of
+/// the whole group bit for bit, provided the inputs arrive in the same
+/// order (float addition is not associative).
+#[derive(Debug, Clone)]
+pub struct Fold(Acc);
+
+#[derive(Debug, Clone)]
+enum Acc {
+    Count(i64),
+    CountNonNull(i64),
+    /// The non-NULL inputs, counted distinct when read.
+    CountDistinct(Vec<Value>),
+    Sum {
+        int: i64,
+        /// Starts at `-0.0`, the identity of float addition, so the sum
+        /// of `[-0.0]` is `-0.0`.
+        float: f64,
+        all_int: bool,
+        /// Integer overflow fails SUM only when *every* input is an
+        /// integer, and a later float input switches the group to the
+        /// float sum: remember it, and fail at read time.
+        overflow: bool,
+        non_null: i64,
+    },
+    Avg {
+        sum: f64,
+        count: i64,
+    },
+    Min(Value),
+    Max(Value),
+    /// The non-NULL inputs as floats; the deviation needs their mean.
+    StdDev(Vec<f64>),
+}
+
+impl Fold {
+    /// Fold in the next value. NULLs count only for COUNT(*); a
+    /// non-numeric value fails SUM, AVG and STDDEV.
+    #[inline]
+    pub fn push(&mut self, v: &Value) -> Result<()> {
+        let number = |func: &str| {
             v.as_f64().ok_or_else(|| RelationError::BadAggregate {
                 context: format!("{func} on non-numeric value `{v}`"),
             })
+        };
+        match &mut self.0 {
+            // COUNT(*) never reads the value.
+            Acc::Count(n) => *n += 1,
+            _ if v.is_null() => {}
+            Acc::CountNonNull(n) => *n += 1,
+            Acc::CountDistinct(seen) => seen.push(*v),
+            Acc::Sum {
+                int,
+                float,
+                all_int,
+                overflow,
+                non_null,
+            } => {
+                *float += number("SUM")?;
+                *non_null += 1;
+                match v {
+                    Value::Int(i) if *all_int => match int.checked_add(*i) {
+                        Some(s) => *int = s,
+                        None => *overflow = true,
+                    },
+                    Value::Int(_) => {}
+                    _ => *all_int = false,
+                }
+            }
+            Acc::Avg { sum, count } => {
+                *sum += number("AVG")?;
+                *count += 1;
+            }
+            Acc::Min(m) => {
+                if m.is_null() || v < m {
+                    *m = *v;
+                }
+            }
+            Acc::Max(m) => {
+                if m.is_null() || v > m {
+                    *m = *v;
+                }
+            }
+            Acc::StdDev(xs) => xs.push(number("STDDEV")?),
+        }
+        Ok(())
+    }
+
+    /// The aggregate of everything pushed so far: NULL for an empty (or
+    /// all-NULL) input, except the counts, which give 0.
+    pub fn value(&self) -> Result<Value> {
+        Ok(match &self.0 {
+            Acc::Count(n) | Acc::CountNonNull(n) => Value::Int(*n),
+            Acc::CountDistinct(seen) => {
+                let mut seen = seen.clone();
+                seen.sort_unstable();
+                seen.dedup();
+                Value::Int(seen.len() as i64)
+            }
+            Acc::Sum { non_null: 0, .. } | Acc::Avg { count: 0, .. } => Value::Null,
+            Acc::Sum {
+                overflow: true,
+                all_int: true,
+                ..
+            } => {
+                return Err(RelationError::BadAggregate {
+                    context: "integer overflow in SUM".into(),
+                })
+            }
+            Acc::Sum {
+                int, all_int: true, ..
+            } => Value::Int(*int),
+            Acc::Sum { float, .. } => Value::Float(*float),
+            Acc::Avg { sum, count } => Value::Float(*sum / *count as f64),
+            Acc::Min(m) | Acc::Max(m) => *m,
+            Acc::StdDev(xs) if xs.is_empty() => Value::Null,
+            Acc::StdDev(xs) => {
+                let n = xs.len() as f64;
+                let mean = xs.iter().sum::<f64>() / n;
+                let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
+                Value::Float(var.sqrt())
+            }
         })
-        .collect()
+    }
 }
 
 impl fmt::Display for AggFunc {
@@ -267,6 +338,57 @@ mod tests {
     #[test]
     fn sum_overflow_is_error() {
         assert!(AggFunc::Sum.apply(&ints(&[i64::MAX, 1])).is_err());
+    }
+
+    #[test]
+    fn float_sums_start_at_negative_zero() {
+        for func in [AggFunc::Sum, AggFunc::Avg] {
+            let v = func.apply(&[Value::Float(-0.0)]).unwrap();
+            // Float equality is bitwise (total order): +0.0 would differ.
+            assert_eq!(v, Value::Float(-0.0), "{func}");
+            assert_ne!(v, Value::Float(0.0), "{func}");
+        }
+    }
+
+    /// The streaming cache path reads a group's value before and after
+    /// every push; reading must not disturb the fold.
+    #[test]
+    fn reading_a_fold_midway_equals_folding_the_whole_input() {
+        let input = vec![
+            Value::Int(3),
+            Value::Null,
+            Value::Float(-0.0),
+            Value::Float(0.5),
+            Value::Int(3),
+            Value::Float(-1.5),
+            Value::Null,
+            Value::Float(1e300),
+        ];
+        for func in AggFunc::ALL {
+            let mut fold = func.fold();
+            for (i, v) in input.iter().enumerate() {
+                assert_eq!(
+                    fold.value().unwrap(),
+                    func.apply(&input[..i]).unwrap(),
+                    "{func} after {i} inputs"
+                );
+                fold.push(v).unwrap();
+            }
+            assert_eq!(fold.value().unwrap(), func.apply(&input).unwrap(), "{func}");
+        }
+    }
+
+    #[test]
+    fn sum_overflow_is_forgiven_by_a_later_float() {
+        let mut fold = AggFunc::Sum.fold();
+        fold.push(&Value::Int(i64::MAX)).unwrap();
+        fold.push(&Value::Int(1)).unwrap();
+        assert!(fold.value().is_err());
+        fold.push(&Value::Float(0.5)).unwrap();
+        assert_eq!(
+            fold.value().unwrap(),
+            Value::Float(i64::MAX as f64 + 1.0 + 0.5)
+        );
     }
 
     #[test]

@@ -54,7 +54,7 @@ macro_rules! fault_check {
     };
 }
 
-pub use agg::AggFunc;
+pub use agg::{AggFunc, Fold};
 pub use catalog::Catalog;
 pub use compiled::{BoundExpr, CompiledExpr, PairRow, RowAccess};
 pub use error::{RelationError, Result};

@@ -566,12 +566,11 @@ pub fn group_aggregate(rel: &Relation, group_by: &[&str], aggs: &[AggSpec]) -> R
         let members = &groups[&key];
         let mut values = key.clone().into_values();
         for (spec, idx) in aggs.iter().zip(&agg_idx) {
-            let inputs: Vec<Value> = match idx {
-                Some(i) => members.iter().map(|&ri| rel.rows()[ri][*i]).collect(),
+            values.push(spec.func.apply(members.iter().map(|&ri| match idx {
+                Some(i) => &rel.rows()[ri][*i],
                 // COUNT(*): one unit value per tuple
-                None => members.iter().map(|_| Value::Int(1)).collect(),
-            };
-            values.push(spec.func.apply(&inputs)?);
+                None => &Value::Int(1),
+            }))?);
         }
         out.insert(Tuple::new(values))?;
     }
